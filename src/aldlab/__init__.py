@@ -8,7 +8,6 @@ harness and CLI live in :mod:`aldlab.experiments` and :mod:`aldlab.cli`.
 
 from .spectra import SignedSpectrum, SpectrumError, SpectrumSpec
 from .mixture import (
-    DiagGaussian,
     DiagGMM,
     MixtureError,
     MixturePerturbation,
@@ -24,11 +23,6 @@ from .engine import (
     ChainDivergenceError,
     EngineError,
     config_digest,
-    drift_exact,
-    drift_ideal,
-    drift_misspecified,
-    em_step,
-    init_exact_smoothed,
     make_schedule,
     run_chains,
 )
@@ -67,7 +61,6 @@ __all__ = [
     "ChainDivergenceError",
     "ConditionRecord",
     "ConditionReport",
-    "DiagGaussian",
     "DiagGMM",
     "EngineError",
     "ErrorBudget",
@@ -87,13 +80,8 @@ __all__ = [
     "condition_report",
     "config_digest",
     "delta1_bound",
-    "drift_exact",
-    "drift_ideal",
-    "drift_misspecified",
-    "em_step",
     "error_budget",
     "horizon",
-    "init_exact_smoothed",
     "init_kl_bound",
     "kd_constant",
     "knn_distances",

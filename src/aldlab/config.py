@@ -21,8 +21,8 @@ bool, or comma-separated lists). ``#`` starts a comment.
 from __future__ import annotations
 
 import hashlib
-
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .spectra import SpectrumSpec
 
@@ -62,12 +62,12 @@ def _to_int_list(s: str) -> tuple:
 class TargetBlock:
     """Mixture family: weights, sparse mean offsets, one power-law variance shape."""
 
-    weights: tuple = (0.75, 0.25)
-    mean_offsets: tuple = (0.0, 10.0)  # per-component scalar placed at mean_coord
+    weights: tuple[float, ...] = (0.75, 0.25)
+    mean_offsets: tuple[float, ...] = (0.0, 10.0)  # per-component scalar placed at mean_coord
     mean_coord: int = 1
     var_exponent: float = 1.25
     var_scale: float = 1.0
-    var_scales: tuple = (1.0, 1.0)  # per-component tau multipliers
+    var_scales: tuple[float, ...] = (1.0, 1.0)  # per-component tau multipliers
 
     def mean_rules(self) -> list:
         return [{self.mean_coord: off} if off else 0.0 for off in self.mean_offsets]
@@ -88,7 +88,7 @@ class ScheduleBlock:
 class SamplingBlock:
     n_chains: int = 2500
     n_target_samples: int = 2500
-    k_values: tuple = (20,)
+    k_values: tuple[int, ...] = (20,)
     repeats: int = 3
     seed: int = 20251
 
@@ -99,10 +99,10 @@ class SamplingBlock:
 
 @dataclass(frozen=True)
 class SweepBlock:
-    d_values: tuple = ()
+    d_values: tuple[int, ...] = ()
     epsilon: float = 0.3
     step_cap: int = 20000
-    step_grid: tuple = DEFAULT_STEP_GRID
+    step_grid: tuple[int, ...] = DEFAULT_STEP_GRID
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,10 @@ class VariantBlock:
     dsigma_exponent: float = 0.0
     dmean_scale: float = 0.0
     dmean_exponent: float = 0.0
-    dweights: tuple = ()
+    dweights: tuple[float, ...] = ()
     init: str = "exact_smoothed"
-    init_weights: tuple = ()
-    init_tau: tuple = ()
+    init_weights: tuple[float, ...] = ()
+    init_tau: tuple[float, ...] = ()
     init_smoothed: bool = True
 
     def gamma_spec(self) -> SpectrumSpec:
@@ -166,57 +166,35 @@ class ExperimentConfig:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
-_SCALARS = {
-    "experiment": {"kind": str, "name": str},
-    "target": {
-        "weights": _to_float_list,
-        "mean_offsets": _to_float_list,
-        "mean_coord": int,
-        "var_exponent": float,
-        "var_scale": float,
-        "var_scales": _to_float_list,
-    },
-    "schedule": {"n_steps": int, "dt": float, "s_half": float},
-    "sampling": {
-        "n_chains": int,
-        "n_target_samples": int,
-        "k_values": _to_int_list,
-        "repeats": int,
-        "seed": int,
-    },
-    "sweep": {
-        "d_values": _to_int_list,
-        "epsilon": float,
-        "step_cap": int,
-        "step_grid": _to_int_list,
-    },
-    "output": {"csv": str, "plot_script": str, "log_floor": float},
-    "variant": {
-        "gamma_kind": str,
-        "gamma_scale": float,
-        "gamma_exponent": float,
-        "cbase_kind": str,
-        "cbase_scale": float,
-        "cbase_exponent": float,
-        "drift": str,
-        "dsigma_scale": float,
-        "dsigma_exponent": float,
-        "dmean_scale": float,
-        "dmean_exponent": float,
-        "dweights": _to_float_list,
-        "init": str,
-        "init_weights": _to_float_list,
-        "init_tau": _to_float_list,
-        "init_smoothed": _to_bool,
-    },
-}
-
 _BLOCK_TYPES = {
     "target": TargetBlock,
     "schedule": ScheduleBlock,
     "sampling": SamplingBlock,
     "sweep": SweepBlock,
     "output": OutputBlock,
+}
+
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _to_bool,
+    tuple[float, ...]: _to_float_list,
+    tuple[int, ...]: _to_int_list,
+}
+
+
+def _schema(block) -> dict:
+    """Key -> value parser of one section, read off the block's field annotations."""
+    hints = get_type_hints(block)
+    # a variant's name comes from its section header, not from a key
+    return {f.name: _PARSERS[hints[f.name]] for f in fields(block) if f.name != "name"}
+
+
+_SCHEMAS = {
+    "experiment": {"kind": str, "name": str},
+    **{name: _schema(block) for name, block in _BLOCK_TYPES.items()},
+    "variant": _schema(VariantBlock),
 }
 
 
@@ -240,7 +218,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
                 sections.setdefault("__variants__", {})[vname] = current
                 variant_order.append(vname)
             else:
-                if header not in _SCALARS or header == "variant":
+                if header not in _SCHEMAS or header == "variant":
                     raise ConfigError(f"{source}:{lineno}: unknown section [{header}]")
                 if header in sections:
                     raise ConfigError(f"{source}:{lineno}: duplicate section [{header}]")
@@ -255,7 +233,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        schema = _SCALARS[current_name]
+        schema = _SCHEMAS[current_name]
         if key not in schema:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{current_name}]")
         if key in current:

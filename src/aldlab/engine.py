@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mixture import DiagGMM, MixturePerturbation, apply_perturbation, smooth
+from .mixture import DiagGMM, MixturePerturbation, apply_perturbation, mixture_score, smooth
 from .spectra import SpectrumSpec
 
 BLOCK_SIZE = 512
@@ -171,98 +171,6 @@ def config_digest(config: ALDConfig, target: DiagGMM) -> str:
     return h.hexdigest()[:16]
 
 
-# -- drift providers -----------------------------------------------------
-
-
-def _smoothed_score(
-    means: np.ndarray,
-    base_vars: np.ndarray,
-    log_weights: np.ndarray,
-    lam: np.ndarray,
-    theta: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Score of the mixture smoothed at level theta, vectorized over rows of x."""
-    v = base_vars + theta * lam[None, :]
-    diff = x[:, None, :] - means[None, :, :]
-    q = diff / v[None, :, :]
-    a = log_weights[None, :] - 0.5 * (
-        np.einsum("nkd,nkd->nk", diff, q) + np.sum(np.log(v), axis=1)[None, :]
-    )
-    a -= a.max(axis=1, keepdims=True)
-    r = np.exp(a)
-    r /= r.sum(axis=1, keepdims=True)
-    return -np.einsum("nk,nkd->nd", r, q)
-
-
-def drift_exact(target: DiagGMM, c_base: SpectrumSpec, theta: float, x) -> np.ndarray:
-    """Score of the target smoothed at level theta."""
-    if theta < 0:
-        raise EngineError(f"smoothing level must be >= 0, got {theta}")
-    return smooth(target, c_base, theta).score(x)
-
-
-def drift_misspecified(
-    target: DiagGMM,
-    pert: MixturePerturbation,
-    c_base: SpectrumSpec,
-    theta: float,
-    x,
-) -> np.ndarray:
-    """Exact score of the perturbed mixture smoothed at level theta."""
-    return drift_exact(apply_perturbation(target, pert), c_base, theta, x)
-
-
-def drift_ideal(
-    target: DiagGMM,
-    c_base: SpectrumSpec,
-    theta: float,
-    theta0: float,
-    t_horizon: float,
-    gamma: SpectrumSpec,
-    x,
-) -> np.ndarray:
-    """Corrected pre-noise drift whose flow tracks the annealing path exactly.
-
-    Per coordinate this is ``(gamma_j + theta0*lambda_j / (2T)) * s_j`` with
-    ``s`` the smoothed score: the preconditioned score plus the correction
-    that compensates the shrinking smoothing covariance (whose full-size
-    eigenvalues are ``theta0 * lambda_j``).
-    """
-    if t_horizon <= 0:
-        raise EngineError(f"t_horizon must be positive, got {t_horizon}")
-    s = drift_exact(target, c_base, theta, x)
-    gam = gamma.eigenvalues(target.dim) if isinstance(gamma, SpectrumSpec) else np.asarray(gamma, dtype=float)
-    lam_eff = theta0 * c_base.eigenvalues(target.dim)
-    return (gam + lam_eff / (2.0 * t_horizon)) * s
-
-
-def em_step(x, drift_preconditioned, gamma, dt: float, noise, step_index: int | None = None):
-    """One Euler--Maruyama update ``x + dt*drift + sqrt(2 dt gamma) * noise``.
-
-    ``drift_preconditioned`` must already include the preconditioner (and,
-    in corrected mode, the path-matching term); the noise is scaled by
-    ``sqrt(2 dt gamma)`` regardless of drift mode.
-    """
-    if not dt > 0:
-        raise EngineError(f"dt must be positive, got {dt}")
-    x = np.asarray(x, dtype=float)
-    drift = np.asarray(drift_preconditioned, dtype=float)
-    xi = np.asarray(noise, dtype=float)
-    gam = gamma.eigenvalues(x.shape[-1]) if isinstance(gamma, SpectrumSpec) else np.asarray(gamma, dtype=float)
-    if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(xi))):
-        where = f" at step {step_index}" if step_index is not None else ""
-        raise EngineError(f"non-finite drift or noise{where}")
-    return x + dt * drift + np.sqrt(2.0 * dt * gam) * xi
-
-
-def init_exact_smoothed(
-    target: DiagGMM, c_base: SpectrumSpec, theta0: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample the smoothed initialization law of the annealing path."""
-    return smooth(target, c_base, theta0).sample(n, rng)
-
-
 # -- chain execution ------------------------------------------------------
 
 
@@ -313,7 +221,7 @@ def _run_block(
     # overflow of a diverging state is detected right after the step
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(sched.n_steps - 1):
-            s = _smoothed_score(means, base_vars, log_w, lam, float(levels[k]), x)
+            s = mixture_score(means, base_vars + float(levels[k]) * lam[None, :], log_w, x)
             x = x + dt * (pre * s) + noise_std * rng.standard_normal((BLOCK_SIZE, d))
             if not np.all(np.isfinite(x)):
                 row = int(np.argwhere(~np.isfinite(x))[0][0])

@@ -259,9 +259,9 @@ def run_cell(
     p_samples = None
     if cache and os.path.exists(npz_path):
         # simulated before (possibly under a different k): reuse the batch
-        data = np.load(npz_path)
-        chain_samples = data["samples"]
-        p_samples = data["target_samples"]
+        with np.load(npz_path) as data:
+            chain_samples = data["samples"]
+            p_samples = data["target_samples"]
     else:
         target = build_target(cfg, d)
         ald = build_ald_config(cfg, variant, d, n_steps=steps)
@@ -292,7 +292,16 @@ def run_cell(
     if cache:
         os.makedirs(cdir, exist_ok=True)
         if keep_batch and not diverged and not os.path.exists(npz_path):
-            np.savez_compressed(npz_path, samples=chain_samples, target_samples=p_samples)
+            # written aside and renamed, so a killed run never leaves a torn
+            # batch under the name later cells load; the temporary name ends
+            # in .npz because numpy appends that suffix to any other name
+            tmp_npz = os.path.join(cdir, f"{batch_key}.tmp{os.getpid()}.npz")
+            try:
+                np.savez_compressed(tmp_npz, samples=chain_samples, target_samples=p_samples)
+                os.replace(tmp_npz, npz_path)
+            finally:
+                if os.path.exists(tmp_npz):
+                    os.remove(tmp_npz)
         tmp = row_path + f".tmp{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(result.__dict__, fh)
@@ -314,6 +323,15 @@ def resolve_workers(workers=None) -> int:
     return 1
 
 
+def _fan_out(task, args: list, workers) -> list:
+    """``[task(a) for a in args]``, in a process pool when more than one worker is resolved."""
+    nworkers = resolve_workers(workers)
+    if nworkers > 1:
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            return list(pool.map(task, args))
+    return [task(a) for a in args]
+
+
 # -- sweep experiments (bias vs dimension) -----------------------------------
 
 
@@ -329,14 +347,8 @@ def run_kl_sweep(cfg: ExperimentConfig, workers=None, cache: bool = True) -> lis
         for d in cfg.sweep.d_values
         for repeat in range(cfg.sampling.repeats)
     ]
-    nworkers = resolve_workers(workers)
-    if nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_cell_task, tasks))
-    else:
-        results = [_cell_task(t) for t in tasks]
     rows = []
-    for res in results:
+    for res in _fan_out(_cell_task, tasks, workers):
         rows.append(
             ResultRow(
                 experiment=cfg.experiment,
@@ -351,14 +363,6 @@ def run_kl_sweep(cfg: ExperimentConfig, workers=None, cache: bool = True) -> lis
             )
         )
     return rows
-
-
-def run_fig2_bias_vs_dim(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
-    return run_kl_sweep(cfg, workers=workers, cache=cache)
-
-
-def run_fig3_score_error(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
-    return run_kl_sweep(cfg, workers=workers, cache=cache)
 
 
 # -- steps-to-accuracy search -------------------------------------------------
@@ -411,13 +415,7 @@ def steps_to_accuracy(
 
 def run_fig1_steps_to_accuracy(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
     cells = [(variant, d) for variant in cfg.variants for d in cfg.sweep.d_values]
-    nworkers = resolve_workers(workers)
-    if nworkers > 1:
-        args = [(cfg, variant, d, cache) for variant, d in cells]
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            found = list(pool.map(_steps_task, args))
-    else:
-        found = [_steps_task((cfg, variant, d, cache)) for variant, d in cells]
+    found = _fan_out(_steps_task, [(cfg, variant, d, cache) for variant, d in cells], workers)
     rows = []
     for (variant, d), (steps, kl, wall) in zip(cells, found):
         rows.append(
@@ -460,10 +458,12 @@ def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) 
                         f"no cached batch for variant {variant.name!r}, d={d}, repeat={repeat}; "
                         f"run the sweep experiment first (expected {npz_path})"
                     )
-                data = np.load(npz_path)
-                t0 = time.perf_counter()
+                with np.load(npz_path) as data:
+                    p_samples = data["target_samples"]
+                    chain_samples = data["samples"]
                 for k in cfg.sampling.k_values:
-                    est = knn_kl(data["target_samples"], data["samples"], k)
+                    t0 = time.perf_counter()
+                    est = knn_kl(p_samples, chain_samples, k)
                     rows.append(
                         ResultRow(
                             experiment="knn_robustness",
@@ -520,7 +520,6 @@ def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
         init_dsig = zeros
     elif variant.init == "smoothed_tau":
         w_tilde_init = w
-        base = build_target(cfg, d)
         init_vars = build_truncated_mixture(
             cfg.target.weights,
             cfg.target.mean_rules(),
@@ -528,7 +527,7 @@ def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
             d,
             var_scales=variant.init_tau,
         ).variances
-        init_dsig = init_vars - base.variances
+        init_dsig = init_vars - target.variances
     else:
         w_tilde_init = w
         init_dsig = zeros
@@ -701,8 +700,8 @@ def emit_plot_script(rows, path: str, csv_path: str, log_floor: float = 1e-4) ->
 
 RUNNERS = {
     "fig1_steps_to_accuracy": run_fig1_steps_to_accuracy,
-    "fig2_bias_vs_dim": run_fig2_bias_vs_dim,
-    "fig3_score_error": run_fig3_score_error,
+    "fig2_bias_vs_dim": run_kl_sweep,
+    "fig3_score_error": run_kl_sweep,
     "knn_robustness": run_knn_robustness,
 }
 

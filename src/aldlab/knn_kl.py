@@ -50,24 +50,6 @@ def _check_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
-def _kth_distances(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool) -> np.ndarray:
-    """Distance to the k-th nearest neighbor of each query (k is 1-indexed)."""
-    n = points.shape[0]
-    q, d = queries.shape
-    order = k - 1  # self-distances are masked to inf, so no extra shift
-    chunk = max(1, int(_CHUNK_ELEMS // max(1, n * d)))
-    out = np.empty(q)
-    for start in range(0, q, chunk):
-        stop = min(q, start + chunk)
-        diff = queries[start:stop, None, :] - points[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        if exclude_self:
-            rows = np.arange(start, stop)
-            d2[rows - start, rows] = np.inf
-        out[start:stop] = np.partition(d2, order, axis=1)[:, order]
-    return np.sqrt(out)
-
-
 def knn_distances(points, queries, k: int, exclude_self: bool = False) -> np.ndarray:
     """Sorted distances to the k nearest neighbors of each query row.
 
@@ -113,8 +95,8 @@ def knn_kl(p_samples, q_samples, k: int) -> KLEstimate:
     if k > m:
         raise KnnError(f"k={k} exceeds the Q sample count m={m}")
 
-    rho = _kth_distances(P, P, k, exclude_self=True)
-    nu = _kth_distances(Q, P, k, exclude_self=False)
+    rho = knn_distances(P, P, k, exclude_self=True)[:, -1]
+    nu = knn_distances(Q, P, k)[:, -1]
     clamped = int(np.sum(rho < DIST_CLAMP)) + int(np.sum(nu < DIST_CLAMP))
     rho = np.maximum(rho, DIST_CLAMP)
     nu = np.maximum(nu, DIST_CLAMP)

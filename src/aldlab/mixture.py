@@ -32,31 +32,6 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DiagGaussian:
-    """Single Gaussian with diagonal covariance."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        mean = _frozen_array(np.atleast_1d(self.mean))
-        var = _frozen_array(np.atleast_1d(self.var))
-        if mean.ndim != 1 or var.ndim != 1 or mean.shape != var.shape:
-            raise MixtureError(
-                f"mean and var must be 1-d of equal length, got {mean.shape} and {var.shape}"
-            )
-        if np.any(var < VAR_FLOOR):
-            j = int(np.argmax(var < VAR_FLOOR))
-            raise MixtureError(f"variance at coordinate {j + 1} is below {VAR_FLOOR:g}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
 class DiagGMM:
     """Mixture of diagonal Gaussians sharing one dimension.
 
@@ -92,20 +67,6 @@ class DiagGMM:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
 
-    @staticmethod
-    def from_components(components: Sequence[DiagGaussian], weights) -> "DiagGMM":
-        comps = list(components)
-        if not comps:
-            raise MixtureError("need at least one component")
-        dims = {c.dim for c in comps}
-        if len(dims) != 1:
-            raise MixtureError(f"components have mixed dimensions {sorted(dims)}")
-        return DiagGMM(
-            weights=np.asarray(weights, dtype=float),
-            means=np.stack([c.mean for c in comps]),
-            variances=np.stack([c.var for c in comps]),
-        )
-
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
@@ -113,12 +74,6 @@ class DiagGMM:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    @property
-    def components(self) -> tuple[DiagGaussian, ...]:
-        return tuple(
-            DiagGaussian(self.means[i], self.variances[i]) for i in range(self.n_components)
-        )
 
     # -- evaluation ----------------------------------------------------
 
@@ -134,35 +89,30 @@ class DiagGMM:
     def component_log_density(self, x) -> np.ndarray:
         """Per-component log densities, shape ``(n, K)`` (or ``(K,)`` for one point)."""
         X, single = self._as_batch(x)
-        diff = X[:, None, :] - self.means[None, :, :]
-        quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
-        logdet = np.sum(np.log(self.variances), axis=1) + self.dim * _LOG_2PI
-        out = -0.5 * (quad + logdet[None, :])
+        a, _ = _log_joint(self.means, self.variances, np.zeros(self.n_components), X)
+        out = a - 0.5 * self.dim * _LOG_2PI
         return out[0] if single else out
 
     def log_density(self, x):
         """Mixture log density via log-sum-exp; finite for all finite points."""
         X, single = self._as_batch(x)
-        a = np.log(self.weights)[None, :] + self.component_log_density(X)
+        a, _ = _log_joint(self.means, self.variances, np.log(self.weights), X)
         amax = a.max(axis=1, keepdims=True)
         out = (amax + np.log(np.sum(np.exp(a - amax), axis=1, keepdims=True)))[:, 0]
+        out -= 0.5 * self.dim * _LOG_2PI
         return float(out[0]) if single else out
 
     def responsibilities(self, x) -> np.ndarray:
         """Posterior component probabilities, rows summing to 1."""
         X, single = self._as_batch(x)
-        a = np.log(self.weights)[None, :] + self.component_log_density(X)
-        a -= a.max(axis=1, keepdims=True)
-        r = np.exp(a)
-        r /= r.sum(axis=1, keepdims=True)
+        a, _ = _log_joint(self.means, self.variances, np.log(self.weights), X)
+        r = _normalize(a)
         return r[0] if single else r
 
     def score(self, x) -> np.ndarray:
         """Gradient of the mixture log density."""
         X, single = self._as_batch(x)
-        r = self.responsibilities(X)
-        comp = -(X[:, None, :] - self.means[None, :, :]) / self.variances[None, :, :]
-        out = np.sum(r[:, :, None] * comp, axis=1)
+        out = mixture_score(self.means, self.variances, np.log(self.weights), X)
         return out[0] if single else out
 
     def sample(self, n: int, rng: np.random.Generator, return_components: bool = False):
@@ -181,6 +131,43 @@ class DiagGMM:
         if return_components:
             return pts, idx
         return pts
+
+
+# -- the score kernel ---------------------------------------------------
+
+
+def _log_joint(means, variances, log_weights, x) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component log joint densities at the rows of ``x``, up to ``(d/2) log(2 pi)``.
+
+    Returns ``a`` of shape ``(n, K)``, ``a[n, i] = log w_i + log N(x_n; m_i,
+    diag v_i) + (d/2) log(2 pi)``, and ``q = (x_n - m_i) / v_i`` of shape
+    ``(n, K, d)``. Every density, responsibility and score here is built on
+    this one quadratic form.
+    """
+    diff = x[:, None, :] - means[None, :, :]
+    q = diff / variances[None, :, :]
+    a = log_weights[None, :] - 0.5 * (
+        np.einsum("nkd,nkd->nk", diff, q) + np.sum(np.log(variances), axis=1)[None, :]
+    )
+    return a, q
+
+
+def _normalize(a: np.ndarray) -> np.ndarray:
+    """Responsibilities from log joints: a softmax over each row, overwriting ``a``."""
+    a -= a.max(axis=1, keepdims=True)
+    r = np.exp(a)
+    r /= r.sum(axis=1, keepdims=True)
+    return r
+
+
+def mixture_score(means, variances, log_weights, x) -> np.ndarray:
+    """Score of a diagonal mixture at the rows of ``x``: ``-sum_i r_i (x - m_i) / v_i``.
+
+    The one score kernel: ``DiagGMM.score`` and the engine's step loop both
+    call it, so a chain step and the mixture's score agree bit for bit.
+    """
+    a, q = _log_joint(means, variances, log_weights, x)
+    return -np.einsum("nk,nkd->nd", _normalize(a), q)
 
 
 # -- construction -------------------------------------------------------

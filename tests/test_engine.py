@@ -11,23 +11,41 @@ from aldlab import (
     MixturePerturbation,
     SignedSpectrum,
     SpectrumSpec,
+    apply_perturbation,
     build_truncated_mixture,
     config_digest,
-    drift_exact,
-    drift_ideal,
-    drift_misspecified,
-    em_step,
-    init_exact_smoothed,
     knn_kl,
     make_schedule,
     run_chains,
     smooth,
 )
+from aldlab.mixture import mixture_score
 from conftest import fig2_target
 
 
 def single_gaussian(d=1, var=1.0):
     return build_truncated_mixture((1.0,), [0.0], [SpectrumSpec.constant(var)], d)
+
+
+def one_step(
+    target,
+    drift_mode="exact",
+    perturbation=None,
+    dt=0.05,
+    s_half=20.0,
+    gamma=SpectrumSpec.power_law(1.0, 1.5),
+    c_base=SpectrumSpec.power_law(1.0, 2.7),
+):
+    """One noise-free ``run_chains`` step of 64 chains: the config and the batch (state 0 kept)."""
+    cfg = ALDConfig(
+        dim=target.dim,
+        schedule=make_schedule(2, dt, s_half),
+        gamma=gamma,
+        c_base=c_base,
+        drift_mode=drift_mode,
+        perturbation=perturbation,
+    )
+    return cfg, run_chains(cfg, target, 64, seed=3, noise_scale=0.0, checkpoints=(0,))
 
 
 class TestSchedule:
@@ -61,16 +79,19 @@ class TestSchedule:
 
 
 class TestDrifts:
+    """The drift modes, on the mixture score and on noise-free engine steps."""
+
     def test_exact_theta_zero_is_raw_score(self, rng):
+        # the step loop's kernel call, at level 0, is the target's own score
         g = fig2_target(3)
-        x = rng.normal(size=3)
-        np.testing.assert_allclose(
-            drift_exact(g, SpectrumSpec.power_law(1.0, 2.7), 0.0, x), g.score(x)
-        )
+        lam = SpectrumSpec.power_law(1.0, 2.7).eigenvalues(3)
+        x = rng.normal(size=(5, 3))
+        out = mixture_score(g.means, g.variances + 0.0 * lam[None, :], np.log(g.weights), x)
+        np.testing.assert_array_equal(out, g.score(x))
 
     def test_exact_variance_addition(self):
         g = single_gaussian()
-        out = drift_exact(g, SpectrumSpec.constant(1.0), 1.0, np.array([2.0]))
+        out = smooth(g, SpectrumSpec.constant(1.0), 1.0).score(np.array([2.0]))
         np.testing.assert_allclose(out, [-1.0])
 
     def test_exact_matches_finite_differences(self):
@@ -84,104 +105,127 @@ class TestDrifts:
             e = np.zeros(3)
             e[j] = h
             fd[j] = (sm.log_density(x + e) - sm.log_density(x - e)) / (2 * h)
-        np.testing.assert_allclose(drift_exact(g, c, 40.0, x), fd, rtol=1e-6)
+        np.testing.assert_allclose(sm.score(x), fd, rtol=1e-6)
 
-    def test_misspecified_zero_perturbation(self, rng):
+    def test_misspecified_zero_perturbation(self):
         g = fig2_target(2)
         c = SpectrumSpec.power_law(1.0, 4.0)
-        pert = MixturePerturbation()
-        for _ in range(5):
-            x = rng.normal(size=2)
-            np.testing.assert_allclose(
-                drift_misspecified(g, pert, c, 3.0, x), drift_exact(g, c, 3.0, x)
-            )
+        _, exact = one_step(g, c_base=c)
+        _, mis = one_step(g, "misspecified", MixturePerturbation(), c_base=c)
+        np.testing.assert_array_equal(mis.samples, exact.samples)
 
-    def test_misspecified_differs_and_matches_pair_oracle(self, rng):
-        from aldlab import apply_perturbation
-
+    def test_misspecified_differs_and_matches_pair_oracle(self):
+        # misspecified drift on g is exact drift on the perturbed mixture: from
+        # one shared init law the two noisy multi-step runs agree bit for bit
         g = fig2_target(2)
         c = SpectrumSpec.power_law(1.0, 4.0)
         pert = MixturePerturbation(
             dvars=(SignedSpectrum(1.0, SpectrumSpec.power_law(1.0, 3.5)),) * 2
         )
-        x = np.array([1.0, -0.5])
-        mis = drift_misspecified(g, pert, c, 2.0, x)
-        exact = drift_exact(g, c, 2.0, x)
-        assert not np.allclose(mis, exact)
-        oracle = smooth(apply_perturbation(g, pert), c, 2.0).score(x)
-        np.testing.assert_allclose(mis, oracle)
+        sched = make_schedule(20, 0.05, 20.0)
 
-    def test_weight_only_perturbation_identical_components(self, rng):
+        def run(target, **drift):
+            cfg = ALDConfig(
+                dim=2,
+                schedule=sched,
+                gamma=SpectrumSpec.power_law(1.0, 1.5),
+                c_base=c,
+                init_mode="custom_mixture",
+                init_mixture=smooth(g, c, sched.theta0),
+                **drift,
+            )
+            return run_chains(cfg, target, 64, seed=3).samples
+
+        mis = run(g, drift_mode="misspecified", perturbation=pert)
+        assert not np.allclose(mis, run(g))
+        np.testing.assert_array_equal(mis, run(apply_perturbation(g, pert)))
+
+    def test_weight_only_perturbation_identical_components(self):
         # all components equal: responsibilities cancel weight changes
         g = DiagGMM(weights=(0.5, 0.5), means=[[0.0], [0.0]], variances=[[1.0], [1.0]])
         pert = MixturePerturbation(dweights=(-0.3, 0.3))
         c = SpectrumSpec.constant(1.0)
-        for _ in range(5):
-            x = rng.normal(size=1)
-            np.testing.assert_allclose(
-                drift_misspecified(g, pert, c, 1.5, x), drift_exact(g, c, 1.5, x)
-            )
+        _, exact = one_step(g, c_base=c)
+        _, mis = one_step(g, "misspecified", pert, c_base=c)
+        np.testing.assert_allclose(mis.samples, exact.samples)
 
     def test_ideal_direct_substitution(self):
-        # gamma=1, effective smoothing eigenvalue 2, T=1 doubles the score
-        g = single_gaussian()
-        c = SpectrumSpec.constant(1.0)
-        out = drift_ideal(g, c, 0.0, 2.0, 1.0, SpectrumSpec.constant(1.0), np.array([1.5]))
-        np.testing.assert_allclose(out, [-3.0])
+        # gamma=1, effective smoothing eigenvalue theta0*lambda=2, T=1: the
+        # corrected drift is twice the score of the level-2 law N(0, 3)
+        one = SpectrumSpec.constant(1.0)
+        _, batch = one_step(
+            single_gaussian(), "ideal_corrected", dt=1.0, s_half=1.0, gamma=one, c_base=one
+        )
+        np.testing.assert_allclose(batch.samples, batch.checkpoints[0] / 3.0)
 
-    def test_ideal_large_horizon_limit(self, rng):
+    def test_ideal_large_horizon_limit(self):
+        # the path-matching term theta0*lambda/(2T) vanishes as T grows
         g = fig2_target(2)
-        c = SpectrumSpec.power_law(1.0, 2.7)
-        gam = SpectrumSpec.power_law(1.0, 1.5)
-        x = rng.normal(size=2)
-        out = drift_ideal(g, c, 5.0, 40.0, 1e12, gam, x)
-        np.testing.assert_allclose(out, gam.eigenvalues(2) * drift_exact(g, c, 5.0, x), rtol=1e-9)
+        _, ideal = one_step(g, "ideal_corrected", dt=1e12)
+        _, exact = one_step(g, dt=1e12)
+        x0 = ideal.checkpoints[0]
+        np.testing.assert_allclose(ideal.samples - x0, exact.samples - x0, rtol=1e-9)
 
 
 class TestEmStep:
-    def test_zero_drift_zero_noise(self):
-        x = np.array([1.0, -2.0])
-        out = em_step(x, np.zeros(2), SpectrumSpec.constant(1.0), 0.1, np.zeros(2))
-        np.testing.assert_array_equal(out, x)
-
     def test_unit_noise_scaling(self):
-        out = em_step(np.zeros(1), np.zeros(1), SpectrumSpec.constant(1.0), 0.5, np.ones(1))
-        np.testing.assert_allclose(out, [1.0])  # sqrt(2 * 0.5 * 1) = 1
+        # the same seed replays the same init and noise draws, so a noisy step
+        # minus the noise-free one is the noise: sqrt(2 dt gamma) xi in every
+        # drift mode, without the path-matching term
+        g = fig2_target(2)
+        gam = SpectrumSpec.power_law(1.0, 1.5)
+        n = 4096
+        for mode in ("exact", "ideal_corrected"):
+            cfg = ALDConfig(
+                dim=2,
+                schedule=make_schedule(2, 0.5, 20.0),
+                gamma=gam,
+                c_base=SpectrumSpec.power_law(1.0, 2.7),
+                drift_mode=mode,
+            )
+            noise = run_chains(cfg, g, n, seed=5).samples - run_chains(
+                cfg, g, n, seed=5, noise_scale=0.0
+            ).samples
+            ratio = noise.var(axis=0) / (2 * 0.5 * gam.eigenvalues(2))
+            assert np.all(np.abs(ratio - 1.0) < 5 * math.sqrt(2.0 / n)), (mode, ratio)
 
     def test_nonfinite_drift_rejected(self):
-        with pytest.raises(EngineError, match="step 7"):
-            em_step(np.zeros(1), np.array([np.inf]), np.ones(1), 0.1, np.zeros(1), step_index=7)
-
-    def test_ou_stationary_variance(self):
-        # EM on dX = -X dt + sqrt(2) dW has stationary variance 1/(1 - dt/2);
-        # 1e4 independent coordinates, time-averaged after burn-in
-        dt = 9e-3
-        n = 10_000
-        rng = np.random.default_rng(99)
-        x = rng.standard_normal(n)
-        gam = np.ones(n)
-        acc = []
-        for step in range(30_000):
-            x = em_step(x, -x, gam, dt, rng.standard_normal(n))
-            if step >= 10_000 and step % 100 == 0:
-                acc.append(float(np.mean(x * x)))
-        target = 1.0 / (1.0 - dt / 2.0)
-        assert target == pytest.approx(1.004520, abs=1e-6)
-        assert abs(float(np.mean(acc)) - target) / target < 0.01
+        # a drift that overflows on the first step is reported at step 0, on
+        # the first chain, before the state carries an inf forward
+        g = single_gaussian(d=1, var=1e-6)
+        cfg = ALDConfig(
+            dim=1,
+            schedule=make_schedule(3, 1e306, 1e-9),
+            gamma=SpectrumSpec.constant(1.0),
+            c_base=SpectrumSpec.constant(1e-9),
+            init_mode="custom_mixture",
+            init_mixture=DiagGMM(weights=(1.0,), means=[[1.0]], variances=[[1e-4]]),
+        )
+        with pytest.raises(ChainDivergenceError, match="at step 0") as err:
+            run_chains(cfg, g, 8, seed=1)
+        assert (err.value.chain, err.value.step) == (0, 0)
 
 
 class TestRunChains:
     def test_one_step_zero_noise_is_euler(self):
+        # every drift mode steps with the preconditioned score of its smoothed
+        # drift mixture, bit for bit; ideal_corrected adds theta0*lambda/(2T)
+        # to the preconditioner
         g = fig2_target(2)
-        sched = make_schedule(2, 0.05, 20.0)
-        gam = SpectrumSpec.power_law(1.0, 1.5)
-        c = SpectrumSpec.power_law(1.0, 2.7)
-        cfg = ALDConfig(dim=2, schedule=sched, gamma=gam, c_base=c)
-        batch = run_chains(cfg, g, 64, seed=3, noise_scale=0.0, checkpoints=(0,))
-        x0 = batch.checkpoints[0]
-        expect = x0 + 0.05 * gam.eigenvalues(2) * smooth(g, c, 40.0).score(x0)
-        np.testing.assert_allclose(batch.samples, expect, rtol=1e-12)
-        assert batch.steps_run == 1
+        pert = MixturePerturbation(
+            dvars=(SignedSpectrum(1.0, SpectrumSpec.power_law(1.0, 3.5)),) * 2
+        )
+        for mode in ("exact", "misspecified", "ideal_corrected"):
+            cfg, batch = one_step(g, mode, pert if mode == "misspecified" else None)
+            sched = cfg.schedule
+            lam, pre = cfg.c_base.eigenvalues(2), cfg.gamma.eigenvalues(2)
+            if mode == "ideal_corrected":
+                pre = pre + sched.theta0 * lam / (2.0 * sched.t_horizon)
+            drift_gmm = apply_perturbation(g, pert) if mode == "misspecified" else g
+            x0 = batch.checkpoints[0]
+            expect = x0 + sched.dt * (pre * smooth(drift_gmm, cfg.c_base, sched.theta0).score(x0))
+            np.testing.assert_array_equal(batch.samples, expect, err_msg=mode)
+            assert batch.steps_run == 1
 
     def test_determinism_and_chain_count_stability(self):
         g = fig2_target(3)
@@ -286,7 +330,7 @@ class TestRunChains:
     def test_init_exact_smoothed_moments(self):
         g = fig2_target(2)
         c = SpectrumSpec.power_law(1.0, 2.7)
-        pts = init_exact_smoothed(g, c, 40.0, 60_000, np.random.default_rng(2))
+        pts = smooth(g, c, 40.0).sample(60_000, np.random.default_rng(2))
         sm = smooth(g, c, 40.0)
         w = sm.weights
         mean = w @ sm.means
@@ -297,7 +341,7 @@ class TestRunChains:
 
     def test_init_theta0_zero_samples_target(self):
         g = fig2_target(2)
-        a = init_exact_smoothed(g, SpectrumSpec.constant(1.0), 0.0, 40, np.random.default_rng(3))
+        a = smooth(g, SpectrumSpec.constant(1.0), 0.0).sample(40, np.random.default_rng(3))
         b = g.sample(40, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 

@@ -12,10 +12,12 @@ from aldlab.config import load_config, parse_config_text
 from aldlab.experiments import (
     ExperimentError,
     ResultRow,
+    cache_dir,
     emit_csv,
     emit_plot_script,
     read_csv_rows,
     run_bounds_report,
+    run_cell,
     run_experiment,
     run_knn_robustness,
     steps_to_accuracy,
@@ -140,6 +142,26 @@ class TestSweepExperiment:
         assert serial.keys() == {k for k in pooled}
         for key, val in serial.items():
             assert pooled[key] == val
+
+    def test_torn_batch_write_leaves_no_batch(self, tmp_path, monkeypatch):
+        # a run killed inside savez_compressed must not leave a partial batch
+        # under the name that later cells and the robustness study load
+        cfg = tiny_cfg(tmp_path, name="torn")
+        green = cfg.variant("green")
+
+        def torn(path, **arrays):
+            with open(path, "wb") as fh:
+                fh.write(b"PK\x03\x04 partial")
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+        with pytest.raises(OSError, match="mid-write"):
+            run_cell(cfg, green, 2, 0)
+        monkeypatch.undo()
+        assert os.listdir(cache_dir(cfg)) == []
+        again = run_cell(cfg, green, 2, 0)
+        assert math.isfinite(again.kl)
+        assert sum(f.endswith(".npz") for f in os.listdir(cache_dir(cfg))) == 1
 
     def test_plot_script_lists_variants_and_runs(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="plot")
