@@ -14,7 +14,10 @@ The format is sections of ``key = value`` lines::
     ...
 
 Unknown sections or keys are errors: a misspelled spectrum exponent must not
-silently fall back to a default. Values are typed per key (int, float, str,
+silently fall back to a default. A variant's perturbation keys
+(``dsigma_scale``, ``dmean_scale``, ``dweights``) need ``drift =
+misspecified``: the score of any other drift is unperturbed, and a key it
+would ignore is an error too. Values are typed per key (int, float, str,
 bool, or comma-separated lists). ``#`` starts a comment.
 """
 
@@ -131,8 +134,6 @@ class VariantBlock:
     dweights: tuple[float, ...] = ()
     init: str = "exact_smoothed"
     init_weights: tuple[float, ...] = ()
-    init_tau: tuple[float, ...] = ()
-    init_smoothed: bool = True
 
     def gamma_spec(self) -> SpectrumSpec:
         if self.gamma_kind == "constant":
@@ -311,12 +312,15 @@ def _validate(kind, blocks, variants, source):
     for v in variants:
         if v.drift not in ("exact", "misspecified", "ideal_corrected"):
             raise ConfigError(f"{source}: variant {v.name!r} has unknown drift {v.drift!r}")
-        if v.init not in ("exact_smoothed", "custom_weights", "smoothed_tau"):
+        if v.init not in ("exact_smoothed", "custom_weights"):
             raise ConfigError(f"{source}: variant {v.name!r} has unknown init {v.init!r}")
         if v.init == "custom_weights" and len(v.init_weights) != k:
             raise ConfigError(f"{source}: variant {v.name!r} needs init_weights per component")
-        if v.init == "smoothed_tau" and len(v.init_tau) != k:
-            raise ConfigError(f"{source}: variant {v.name!r} needs init_tau per component")
+        if v.drift != "misspecified" and (v.dsigma_scale or v.dmean_scale or v.dweights):
+            raise ConfigError(
+                f"{source}: variant {v.name!r} sets a perturbation key but its drift is "
+                f"{v.drift!r}; perturbation keys need drift = misspecified"
+            )
         if v.drift == "misspecified" and v.dsigma_scale == 0 and v.dmean_scale == 0 and not v.dweights:
             raise ConfigError(f"{source}: variant {v.name!r} is misspecified but has no perturbation")
         if v.dweights and (len(v.dweights) != k or abs(sum(v.dweights)) > 1e-12):

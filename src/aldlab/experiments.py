@@ -17,6 +17,8 @@ import json
 import math
 import os
 import time
+import zipfile
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -145,6 +147,12 @@ def variant_perturbation(variant: VariantBlock, n_components: int) -> MixturePer
 
 
 def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_steps=None) -> ALDConfig:
+    """The numerics of one variant at dimension ``d``.
+
+    The only reading of a ``[variant]`` section: the chains run this config,
+    and the bounds and condition reports take their schedule, spectra,
+    perturbation and initial law from it.
+    """
     sched = make_schedule(
         n_steps if n_steps is not None else cfg.schedule.n_steps,
         cfg.schedule.dt,
@@ -158,13 +166,6 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
     init_mode, init_mixture = "exact_smoothed", None
     if variant.init == "custom_weights":
         base = DiagGMM(weights=variant.init_weights, means=target.means, variances=target.variances)
-        init_mixture = smooth(base, c_base, sched.theta0) if variant.init_smoothed else base
-        init_mode = "custom_mixture"
-    elif variant.init == "smoothed_tau":
-        tgt = cfg.target
-        base = build_truncated_mixture(
-            tgt.weights, tgt.mean_rules(), tgt.var_specs(), d, var_scales=variant.init_tau
-        )
         init_mixture = smooth(base, c_base, sched.theta0)
         init_mode = "custom_mixture"
     return ALDConfig(
@@ -206,6 +207,30 @@ def _batch_digest(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: 
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
+def _batch_path(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, n_steps: int) -> str:
+    return os.path.join(cache_dir(cfg), _batch_digest(cfg, variant, d, repeat, n_steps) + ".npz")
+
+
+def _load_batch(cfg: ExperimentConfig, path: str, d: int):
+    """The cached ``(chain samples, target samples)`` at ``path``, or None.
+
+    A batch that is missing, unreadable (torn, say), of the wrong shape or
+    not finite is None: no cache entry is ever served that a fresh
+    simulation could not have written.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with np.load(path) as data:
+            arrays = data["samples"], data["target_samples"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
+        return None
+    shapes = (cfg.sampling.n_chains, d), (cfg.sampling.n_target_samples, d)
+    if any(a.shape != shape or not np.all(np.isfinite(a)) for a, shape in zip(arrays, shapes)):
+        return None
+    return arrays
+
+
 def _cell_digest(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, n_steps: int) -> str:
     text = "|".join(
         [
@@ -244,10 +269,9 @@ def run_cell(
     """
     steps = int(n_steps if n_steps is not None else cfg.schedule.n_steps)
     digest = _cell_digest(cfg, variant, d, repeat, steps)
-    batch_key = _batch_digest(cfg, variant, d, repeat, steps)
     cdir = cache_dir(cfg)
     row_path = os.path.join(cdir, digest + ".json")
-    npz_path = os.path.join(cdir, batch_key + ".npz")
+    npz_path = _batch_path(cfg, variant, d, repeat, steps)
     if cache and os.path.exists(row_path):
         with open(row_path, "r", encoding="utf-8") as fh:
             return CellResult(**json.load(fh))
@@ -255,13 +279,10 @@ def run_cell(
     t0 = time.perf_counter()
     diverged = False
     kl = math.nan
-    chain_samples = None
-    p_samples = None
-    if cache and os.path.exists(npz_path):
-        # simulated before (possibly under a different k): reuse the batch
-        with np.load(npz_path) as data:
-            chain_samples = data["samples"]
-            p_samples = data["target_samples"]
+    # simulated before (possibly under a different k): reuse the batch
+    cached = _load_batch(cfg, npz_path, d) if cache else None
+    if cached is not None:
+        chain_samples, p_samples = cached
     else:
         target = build_target(cfg, d)
         ald = build_ald_config(cfg, variant, d, n_steps=steps)
@@ -269,8 +290,7 @@ def run_cell(
         # cached batches are interchangeable with fresh simulation everywhere
         seed = cell_seed(cfg.sampling.seed, variant.name, d, repeat, steps)
         try:
-            batch = run_chains(ald, target, cfg.sampling.n_chains, seed)
-            chain_samples = batch.samples
+            chain_samples = run_chains(ald, target, cfg.sampling.n_chains, seed).samples
         except ChainDivergenceError:
             diverged = True
         if not diverged:
@@ -291,11 +311,12 @@ def run_cell(
     )
     if cache:
         os.makedirs(cdir, exist_ok=True)
-        if keep_batch and not diverged and not os.path.exists(npz_path):
+        if keep_batch and not diverged and cached is None:
             # written aside and renamed, so a killed run never leaves a torn
-            # batch under the name later cells load; the temporary name ends
-            # in .npz because numpy appends that suffix to any other name
-            tmp_npz = os.path.join(cdir, f"{batch_key}.tmp{os.getpid()}.npz")
+            # batch under the name later cells load, and an unusable batch
+            # there is replaced; the temporary name ends in .npz because
+            # numpy appends that suffix to any other name
+            tmp_npz = npz_path[: -len(".npz")] + f".tmp{os.getpid()}.npz"
             try:
                 np.savez_compressed(tmp_npz, samples=chain_samples, target_samples=p_samples)
                 os.replace(tmp_npz, npz_path)
@@ -447,20 +468,17 @@ def _steps_task(args):
 def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
     """Re-estimate stored sweep batches at every configured k, without re-simulating."""
     rows = []
-    cdir = cache_dir(cfg)
     for variant in cfg.variants:
         for d in cfg.sweep.d_values:
             for repeat in range(cfg.sampling.repeats):
-                digest = _batch_digest(cfg, variant, d, repeat, cfg.schedule.n_steps)
-                npz_path = os.path.join(cdir, digest + ".npz")
-                if not os.path.exists(npz_path):
+                npz_path = _batch_path(cfg, variant, d, repeat, cfg.schedule.n_steps)
+                batch = _load_batch(cfg, npz_path, d)
+                if batch is None:
                     raise ExperimentError(
-                        f"no cached batch for variant {variant.name!r}, d={d}, repeat={repeat}; "
-                        f"run the sweep experiment first (expected {npz_path})"
+                        f"no usable cached batch for variant {variant.name!r}, d={d}, "
+                        f"repeat={repeat}; run the sweep experiment first (expected {npz_path})"
                     )
-                with np.load(npz_path) as data:
-                    p_samples = data["target_samples"]
-                    chain_samples = data["samples"]
+                chain_samples, p_samples = batch
                 for k in cfg.sampling.k_values:
                     t0 = time.perf_counter()
                     est = knn_kl(p_samples, chain_samples, k)
@@ -484,82 +502,64 @@ def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) 
 
 
 def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
-    """Score-side and init-side bound inputs for one variant at one dimension."""
+    """Score-side and init-side bound inputs for one variant at one dimension.
+
+    The schedule, spectra, score perturbation and initial law are those of
+    ``build_ald_config``, so the bounds describe the chains that run.
+    """
     target = build_target(cfg, d)
-    sched = make_schedule(cfg.schedule.n_steps, cfg.schedule.dt, cfg.schedule.s_half)
-    lam_eff = sched.theta0 * variant.cbase_spec().eigenvalues(d)
-    gam = variant.gamma_spec().eigenvalues(d)
-    js = np.arange(1, d + 1, dtype=float)
-    dsig = (
-        variant.dsigma_scale * js ** (-variant.dsigma_exponent)
-        if variant.dsigma_scale
-        else np.zeros(d)
-    )
-    dmean = (
-        variant.dmean_scale * js ** (-variant.dmean_exponent)
-        if variant.dmean_scale
-        else np.zeros(d)
-    )
+    ald = build_ald_config(cfg, variant, d)
     k = target.n_components
     w = target.weights
-    w_tilde_score = w + (np.asarray(variant.dweights) if variant.dweights else 0.0)
+    pert = ald.perturbation or MixturePerturbation()
+    common = dict(
+        weights=w,
+        sigma=target.variances,
+        lambdas=ald.schedule.theta0 * ald.c_base.eigenvalues(d),
+        gammas=ald.gamma.eigenvalues(d),
+        kappa=1.0,
+        means=target.means,
+    )
     score_inputs = BoundInputs(
-        weights=w,
-        weights_tilde=w_tilde_score,
-        sigma=target.variances,
-        dsigma=np.tile(dsig, (k, 1)),
-        dmeans=np.tile(dmean, (k, 1)),
-        lambdas=lam_eff,
-        gammas=gam,
-        kappa=1.0,
-        means=target.means,
+        weights_tilde=w + pert.weight_shifts(k),
+        dsigma=pert.var_shifts(k, d),
+        dmeans=pert.mean_shifts(k, d),
+        **common,
     )
+    # an initial law other than the smoothed target differs from it in its weights only
     zeros = np.zeros((k, d))
-    if variant.init == "custom_weights":
-        w_tilde_init = np.asarray(variant.init_weights, dtype=float)
-        init_dsig = zeros
-    elif variant.init == "smoothed_tau":
-        w_tilde_init = w
-        init_vars = build_truncated_mixture(
-            cfg.target.weights,
-            cfg.target.mean_rules(),
-            cfg.target.var_specs(),
-            d,
-            var_scales=variant.init_tau,
-        ).variances
-        init_dsig = init_vars - target.variances
-    else:
-        w_tilde_init = w
-        init_dsig = zeros
     init_inputs = BoundInputs(
-        weights=w,
-        weights_tilde=w_tilde_init,
-        sigma=target.variances,
-        dsigma=init_dsig,
+        weights_tilde=w if ald.init_mixture is None else ald.init_mixture.weights,
+        dsigma=zeros,
         dmeans=zeros,
-        lambdas=lam_eff,
-        gammas=gam,
-        kappa=1.0,
-        means=target.means,
+        **common,
     )
-    return score_inputs, init_inputs, sched
+    return score_inputs, init_inputs, ald.schedule
+
+
+def _power_law(entries) -> PowerLaw:
+    """The power law of a perturbation's per-component entries (one shared spectrum, or none)."""
+    if not entries:
+        return PowerLaw(0.0, 0.0)
+    return PowerLaw(abs(entries[0].coef), entries[0].spec.exponent)
 
 
 def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_probe=(100, 1000, 10000)):
     tgt = cfg.target
     offs = tgt.mean_offsets
     gap = max(offs) - min(offs) if len(offs) > 1 else 0.0
-    theta0 = 2.0 * cfg.schedule.s_half
-    gspec = variant.gamma_spec()
-    cspec = variant.cbase_spec()
+    # the conditions are dimension-free; d = 1 only reads the variant's numerics
+    ald = build_ald_config(cfg, variant, 1)
+    pert = ald.perturbation or MixturePerturbation()
     return condition_report(
         tgt.weights,
         sigma_exponent=tgt.var_exponent,
         sigma_scales=tuple(tgt.var_scale * s for s in tgt.var_scales),
-        smooth=PowerLaw(theta0 * cspec.scale, cspec.decay_exponent()),
-        gamma=PowerLaw(gspec.scale, gspec.decay_exponent()),
-        dmean=PowerLaw(abs(variant.dmean_scale), variant.dmean_exponent),
-        dsigma=PowerLaw(abs(variant.dsigma_scale), variant.dsigma_exponent),
+        smooth=PowerLaw(ald.schedule.theta0 * ald.c_base.scale, ald.c_base.decay_exponent()),
+        gamma=PowerLaw(ald.gamma.scale, ald.gamma.decay_exponent()),
+        dmean=_power_law(pert.dmeans),
+        dsigma=_power_law(pert.dvars),
+        weights_tilde=np.asarray(tgt.weights) + pert.weight_shifts(len(tgt.weights)),
         mean_gap_sq=gap * gap,
         d_probe=d_probe,
     )
@@ -618,37 +618,6 @@ def run_bounds_report(cfg: ExperimentConfig, grid_size: int = 512) -> dict:
                 )
         fh.write("\nper-dimension bounds written to " + os.path.basename(path) + "\n")
     return {"numeric": numeric, "conditions": conditions, "csv": path, "txt": txt_path}
-
-
-def budget_vs_empirical(rows, numeric) -> list:
-    """Soft coherence check: theory budget lines next to empirical estimates.
-
-    Matches bound-report records to sweep rows by (variant, d) and reports
-    whether the budget upper-bounds the measured divergence. Reported only,
-    never asserted: the discrete-time bias sits outside the budget.
-    """
-    by_cell: dict = {}
-    for r in rows:
-        if isinstance(r.steps, str):
-            continue
-        by_cell.setdefault((r.variant, r.d), []).append(r.kl)
-    out = []
-    for rec in numeric:
-        key = (rec["variant"], rec["d"])
-        if key not in by_cell:
-            continue
-        emp = float(np.mean(by_cell[key]))
-        total = rec["total_bound"]
-        out.append(
-            {
-                "variant": rec["variant"],
-                "d": rec["d"],
-                "empirical_kl": emp,
-                "total_bound": total,
-                "coherent": bool(emp <= total) if math.isfinite(total) else True,
-            }
-        )
-    return out
 
 
 # -- plot scripts --------------------------------------------------------------

@@ -69,6 +69,22 @@ def test_misspecified_variant_needs_perturbation():
         parse_config_text(bad)
 
 
+@pytest.mark.parametrize("drift", ["exact", "ideal_corrected"])
+@pytest.mark.parametrize("key", ["dsigma_scale = 0.1", "dmean_scale = 0.1", "dweights = -0.05, 0.05"])
+def test_perturbation_keys_need_misspecified_drift(drift, key):
+    bad = MINIMAL.replace("gamma_kind = constant", f"drift = {drift}\n{key}\ngamma_kind = constant")
+    with pytest.raises(ConfigError, match="variant 'solo' sets a perturbation key.*drift = misspecified"):
+        parse_config_text(bad)
+
+
+def test_removed_init_options_rejected():
+    with pytest.raises(ConfigError, match="unknown init 'smoothed_tau'"):
+        parse_config_text(MINIMAL.replace("gamma_kind = constant", "init = smoothed_tau\ngamma_kind = constant"))
+    for key in ("init_tau = 1.0, 1.0", "init_smoothed = false"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(MINIMAL.replace("gamma_kind = constant", f"{key}\ngamma_kind = constant"))
+
+
 def test_nonincreasing_d_rejected():
     bad = MINIMAL + "\n[sweep]\nd_values = 5, 5, 10\n"
     with pytest.raises(ConfigError, match="increasing"):

@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aldlab import experiments
+from aldlab.bounds import error_budget, weight_kl
 from aldlab.config import load_config, parse_config_text
 from aldlab.experiments import (
     ExperimentError,
@@ -61,6 +63,9 @@ gamma_scale = 1.0
 cbase_kind = constant
 cbase_scale = 1.0
 """
+
+
+TINY_GREEN = parse_config_text(TINY_FIG2).variant("green")
 
 
 def tiny_cfg(tmp_path, text=TINY_FIG2, name="out"):
@@ -162,6 +167,37 @@ class TestSweepExperiment:
         again = run_cell(cfg, green, 2, 0)
         assert math.isfinite(again.kl)
         assert sum(f.endswith(".npz") for f in os.listdir(cache_dir(cfg))) == 1
+
+    @pytest.mark.parametrize("spoil", ["torn", "wrong_shape", "non_finite"])
+    def test_unusable_batch_is_resimulated_and_replaced(self, tmp_path, spoil):
+        # a batch that cannot be served is a cache miss: the cell re-simulates
+        # the same bits and the spoiled file is replaced by a usable one
+        clean = run_cell(tiny_cfg(tmp_path / "clean"), TINY_GREEN, 2, 0)
+        cfg = tiny_cfg(tmp_path / "spoiled")
+        run_cell(cfg, TINY_GREEN, 2, 0)
+        cdir = cache_dir(cfg)
+        (npz,) = [os.path.join(cdir, f) for f in os.listdir(cdir) if f.endswith(".npz")]
+        with np.load(npz) as data:
+            good = {name: data[name] for name in ("samples", "target_samples")}
+        if spoil == "torn":
+            with open(npz, "rb") as fh:
+                head = fh.read()[: os.path.getsize(npz) // 2]
+            with open(npz, "wb") as fh:
+                fh.write(head)
+        elif spoil == "wrong_shape":
+            np.savez_compressed(npz, samples=good["samples"][:3], target_samples=good["target_samples"])
+        else:
+            bad = good["samples"].copy()
+            bad[0, 0] = np.nan
+            np.savez_compressed(npz, samples=bad, target_samples=good["target_samples"])
+        for f in os.listdir(cdir):
+            if f.endswith(".json"):
+                os.remove(os.path.join(cdir, f))
+        again = run_cell(cfg, TINY_GREEN, 2, 0)
+        assert again.kl == clean.kl
+        with np.load(npz) as data:
+            np.testing.assert_array_equal(data["samples"], good["samples"])
+            np.testing.assert_array_equal(data["target_samples"], good["target_samples"])
 
     def test_plot_script_lists_variants_and_runs(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="plot")
@@ -281,6 +317,18 @@ class TestKnnRobustness:
         keyed = {(r.variant, r.d, r.repeat, r.k) for r in rows}
         assert len(keyed) == 16
 
+    def test_torn_batch_names_the_cell(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, name="rob")
+        run_experiment(cfg)
+        cdir = cache_dir(cfg)
+        for f in os.listdir(cdir):
+            if f.endswith(".npz"):
+                with open(os.path.join(cdir, f), "wb") as fh:
+                    fh.write(b"PK\x03\x04 partial")
+        rob_cfg = replace(cfg, experiment="knn_robustness")
+        with pytest.raises(ExperimentError, match="variant 'green', d=1, repeat=0; run the sweep"):
+            run_knn_robustness(rob_cfg)
+
     def test_missing_cache_instructs_rerun(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="nocache")
         rob_cfg = replace(cfg, experiment="knn_robustness")
@@ -359,23 +407,6 @@ class TestStepsToAccuracy:
         assert kl <= cfg.sweep.epsilon
 
 
-class TestBudgetCoherence:
-    def test_reported_not_asserted(self, tmp_path):
-        from aldlab.experiments import budget_vs_empirical
-
-        cfg = tiny_cfg(tmp_path, name="coh")
-        rows = run_experiment(cfg)
-        numeric = [
-            {"variant": "green", "d": 1, "total_bound": 1e9},
-            {"variant": "green", "d": 2, "total_bound": float("inf")},
-            {"variant": "nope", "d": 1, "total_bound": 0.0},
-        ]
-        rep = budget_vs_empirical(rows, numeric)
-        assert len(rep) == 2
-        assert all(r["coherent"] for r in rep)
-        assert {r["d"] for r in rep} == {1, 2}
-
-
 class TestBoundsReport:
     def test_report_files_and_verdicts(self, tmp_path):
         cfg = load_config("configs/bounds.cfg")
@@ -402,3 +433,58 @@ class TestBoundsReport:
         assert by_key[("red", 65)]["kd"] > 2.0 * by_key[("red", 20)]["kd"]
         text = open(rep["txt"]).read()
         assert "variant green" in text and "suff_kd" in text
+
+    def test_fig3_perturbation_and_init_law_reach_the_bounds(self, tmp_path, monkeypatch):
+        cfg = load_config("configs/fig3.cfg")
+        cfg = replace(
+            cfg,
+            sweep=replace(cfg.sweep, d_values=(1, 5)),
+            output=replace(cfg.output, csv=str(tmp_path / "fig3_bounds.csv")),
+        )
+        seen = []
+
+        def recording_budget(inputs, t_horizon, **kwargs):
+            seen.append(inputs)
+            return error_budget(inputs, t_horizon, **kwargs)
+
+        monkeypatch.setattr(experiments, "error_budget", recording_budget)
+        rep = run_bounds_report(cfg, grid_size=32)
+        assert len(rep["numeric"]) == len(seen) == 4
+        w_kl = weight_kl((0.75, 0.25), (0.1, 0.9))
+        for rec in rep["numeric"]:
+            assert rec["init_kl_bound"] == w_kl
+            assert rec["int_bcomp"] > 0
+        for inputs in seen:
+            js = np.arange(1, inputs.dim + 1, dtype=float)
+            for row in inputs.dsigma:
+                np.testing.assert_array_equal(row, 0.1 * js**-3.5)
+            assert not np.any(inputs.dmeans)
+
+    def test_weight_perturbation_reaches_the_conditions(self, tmp_path):
+        text = BOUNDS_DWEIGHTS.replace("results/dw.csv", str(tmp_path / "dw.csv"))
+        rep = run_bounds_report(parse_config_text(text), grid_size=32)
+        (rec,) = rep["numeric"]
+        assert rec["int_bresp"] > 0
+        report = rep["conditions"]["shifted"]
+        assert report["w1_weights"].partial_sum(100) > 0
+        assert report["w2_weight_ratio"].partial_sum(100) > 1
+
+
+BOUNDS_DWEIGHTS = """
+[experiment]
+kind = bounds_report
+
+[sweep]
+d_values = 1
+
+[variant shifted]
+gamma_kind = power_law
+gamma_exponent = 1.5
+cbase_kind = power_law
+cbase_exponent = 2.7
+drift = misspecified
+dweights = -0.05, 0.05
+
+[output]
+csv = results/dw.csv
+"""
