@@ -7,11 +7,11 @@ exact densities, responsibilities, scores, and sampling.
 
 import numpy as np
 
-from aldlab import SpectrumSpec, build_truncated_mixture, smooth
+from aldlab import PowerLaw, build_truncated_mixture, smooth
 
 # Two components: weights (0.75, 0.25), means 0 and 10*e_1, variances
 # tau_i * j^(-1.25). The same spectra define every truncation dimension.
-spectrum = SpectrumSpec.power_law(1.0, 1.25)
+spectrum = PowerLaw(1.0, 1.25)
 target5 = build_truncated_mixture(
     (0.75, 0.25), [0.0, {1: 10.0}], [spectrum, spectrum], d=5, var_scales=(1.2, 2.0)
 )
@@ -34,7 +34,7 @@ x2 = np.array([10.0, 0.0, 0.0, 0.0, 0.0])
 print("responsibilities at the second mode:", np.round(target5.responsibilities(x2), 6))
 
 # Smoothing adds level * lambda_j to every variance; composition is additive.
-c_base = SpectrumSpec.power_law(1.0, 2.7)
+c_base = PowerLaw(1.0, 2.7)
 smoothed = smooth(target5, c_base, 40.0)
 print("\nsmoothed variances (level 40):\n", np.round(smoothed.variances, 3))
 

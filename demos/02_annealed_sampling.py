@@ -10,7 +10,7 @@ import numpy as np
 
 from aldlab import (
     ALDConfig,
-    SpectrumSpec,
+    PowerLaw,
     build_truncated_mixture,
     knn_kl,
     make_schedule,
@@ -20,7 +20,7 @@ from aldlab import (
 d = 5
 target = build_truncated_mixture(
     (0.75, 0.25), [0.0, {1: 10.0}],
-    [SpectrumSpec.power_law(1.0, 1.25)] * 2, d, var_scales=(1.2, 2.0),
+    [PowerLaw(1.0, 1.25)] * 2, d, var_scales=(1.2, 2.0),
 )
 
 # Short horizon so the difference is visible quickly; the shipped configs use
@@ -31,9 +31,9 @@ print(f"schedule: {schedule.n_steps} steps, theta_0 = {schedule.theta0}, "
 
 variants = {
     "tailored (gamma=j^-1.5, C=40 j^-2.7)": (
-        SpectrumSpec.power_law(1.0, 1.5), SpectrumSpec.power_law(1.0, 2.7)),
+        PowerLaw(1.0, 1.5), PowerLaw(1.0, 2.7)),
     "flat (gamma=I, C=40 I)": (
-        SpectrumSpec.constant(1.0), SpectrumSpec.constant(1.0)),
+        PowerLaw(1.0), PowerLaw(1.0)),
 }
 
 reference = target.sample(2000, np.random.default_rng(1))
@@ -47,8 +47,8 @@ for name, (gamma, c_base) in variants.items():
 # Determinism: a rerun with the same seed reproduces every sample bit for bit,
 # and rows do not depend on how many chains were requested.
 cfg = ALDConfig(dim=d, schedule=schedule,
-                gamma=SpectrumSpec.power_law(1.0, 1.5),
-                c_base=SpectrumSpec.power_law(1.0, 2.7))
+                gamma=PowerLaw(1.0, 1.5),
+                c_base=PowerLaw(1.0, 2.7))
 a = run_chains(cfg, target, 600, seed=42)
 b = run_chains(cfg, target, 400, seed=42)
 print("rows stable under chain-count changes:",

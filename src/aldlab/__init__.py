@@ -6,7 +6,7 @@ with summability diagnostics, and a kNN divergence estimator. The experiment
 harness and CLI live in :mod:`aldlab.experiments` and :mod:`aldlab.cli`.
 """
 
-from .spectra import SignedSpectrum, SpectrumError, SpectrumSpec
+from .spectra import PowerLaw, SpectrumError
 from .mixture import (
     DiagGMM,
     MixtureError,
@@ -46,7 +46,7 @@ from .bounds import (
     tilted_score_fourth_bound,
     weight_kl,
 )
-from .conditions import ConditionRecord, ConditionReport, PowerLaw, condition_report
+from .conditions import ConditionRecord, ConditionReport, condition_report
 from .knn_kl import KLEstimate, KnnError, knn_distances, knn_kl
 
 __version__ = "0.1.0"
@@ -69,9 +69,7 @@ __all__ = [
     "MixtureError",
     "MixturePerturbation",
     "PowerLaw",
-    "SignedSpectrum",
     "SpectrumError",
-    "SpectrumSpec",
     "apply_perturbation",
     "bcomp_bound",
     "bresp_upper",

@@ -3,8 +3,9 @@
 Each record pairs concrete partial sums (evaluated at probe dimensions) with
 a convergence verdict from exponent algebra: a series whose terms decay like
 ``j**(-e)`` converges iff ``e > 1``. Sequences given with zero scale are
-identically zero and trivially convergent. Band-type records track the
-running sup of the variance-ratio deviation instead of a series.
+identically zero and trivially convergent; a perturbation's scale may be
+negative. Band-type records track the running sup of the variance-ratio
+deviation instead of a series.
 """
 
 from __future__ import annotations
@@ -14,31 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectra import PowerLaw
+
 
 class ConditionError(ValueError):
     """Raised for invalid condition-report inputs."""
-
-
-@dataclass(frozen=True)
-class PowerLaw:
-    """Sequence ``scale * j**(-exponent)`` for j >= 1; scale 0 means identically zero."""
-
-    scale: float
-    exponent: float
-
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ConditionError(f"power-law scale must be >= 0, got {self.scale}")
-
-    def terms(self, js: np.ndarray) -> np.ndarray:
-        if self.scale == 0.0:
-            return np.zeros_like(js, dtype=float)
-        return self.scale * js ** (-self.exponent)
-
-    @property
-    def decay(self) -> float:
-        """Decay exponent; +inf for the zero sequence."""
-        return math.inf if self.scale == 0.0 else self.exponent
 
 
 @dataclass(frozen=True)
@@ -76,8 +57,6 @@ class ConditionReport:
 
 
 def _verdict(exponent: float) -> str:
-    if math.isnan(exponent):
-        return "unknown"
     return "converges" if exponent > 1.0 else "diverges"
 
 
@@ -106,8 +85,8 @@ def condition_report(
     sigma_scales=(1.0,),
     smooth: PowerLaw,
     gamma: PowerLaw,
-    dmean: PowerLaw = PowerLaw(0.0, 0.0),
-    dsigma: PowerLaw = PowerLaw(0.0, 0.0),
+    dmean: PowerLaw = PowerLaw(0.0),
+    dsigma: PowerLaw = PowerLaw(0.0),
     weights_tilde=None,
     mean_gap_sq: float = 0.0,
     d_probe=(100, 1000, 10000),
@@ -133,12 +112,15 @@ def condition_report(
     js = np.arange(1, dmax + 1, dtype=float)
 
     sig = taus[:, None] * js[None, :] ** (-sigma_exponent)  # (K, dmax)
-    lam = smooth.terms(js)
-    gam = gamma.terms(js)
+    lam = smooth.eigenvalues(dmax)
+    gam = gamma.eigenvalues(dmax)
     if np.any(gam <= 0) or np.any(lam <= 0):
         raise ConditionError("smoothing and preconditioner sequences must be positive")
-    dm = dmean.terms(js)
-    dsig = dsigma.terms(js)
+    dm = dmean.eigenvalues(dmax)
+    dsig = dsigma.eigenvalues(dmax)
+    vt0 = sig + dsig[None, :]  # perturbed variances at fraction 0
+    if np.any(vt0 <= 0):
+        raise ConditionError("perturbed variances must be positive")
     a_mix = sigma_exponent
     a_sm = smooth.decay
     a_pre = gamma.decay
@@ -160,10 +142,10 @@ def condition_report(
     v1 = sig + lam[None, :]
     # initialization-KL summability, sup over components
     per_j = (dm[None, :] ** 2 / vt1).max(axis=0)
-    e = 2 * a_dm - a_vt1 if dmean.scale > 0 else math.inf
+    e = 2 * a_dm - a_vt1 if dmean.scale != 0 else math.inf
     records.append(_series_record("init_mean", e, per_j, d_probe))
     per_j = (dsig[None, :] ** 2 / (v1 * vt1)).max(axis=0)
-    e = 2 * a_dsig - a_v1 - a_vt1 if dsigma.scale > 0 else math.inf
+    e = 2 * a_dsig - a_v1 - a_vt1 if dsigma.scale != 0 else math.inf
     records.append(_series_record("init_var", e, per_j, d_probe))
 
     # weight-mismatch factor and weight comparability (no j dependence)
@@ -199,7 +181,6 @@ def condition_report(
         return np.einsum("l,i,lih->h", w, wt, terms)
 
     v0 = sig
-    vt0 = sig + dsig[None, :]
     per_j = np.maximum(s1_per_j(v0, vt0), s1_per_j(v1, vt1))
     e0 = a_pre + min(a_mix, 2 * a_dm) - 2 * a_vt0
     e1 = a_pre + min(a_mix, a_sm, 2 * a_dm) - 2 * a_vt1
@@ -219,9 +200,9 @@ def condition_report(
     # tilted-moment summability and the mean-mismatch series
     per_j = ((dsig[None, :] / v0) ** 2 + dm[None, :] ** 2 / v0).max(axis=0)
     parts = []
-    if dsigma.scale > 0:
+    if dsigma.scale != 0:
         parts.append(2 * (a_dsig - a_v0))
-    if dmean.scale > 0:
+    if dmean.scale != 0:
         parts.append(2 * a_dm - a_v0)
     records.append(_series_record("mpm_band_series", min(parts) if parts else math.inf, per_j, d_probe))
 

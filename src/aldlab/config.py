@@ -10,15 +10,21 @@ The format is sections of ``key = value`` lines::
     ...
 
     [variant green]
-    gamma_kind = power_law
+    gamma_exponent = 1.5
+    cbase_exponent = 2.7
     ...
 
 Unknown sections or keys are errors: a misspelled spectrum exponent must not
-silently fall back to a default. A variant's perturbation keys
-(``dsigma_scale``, ``dmean_scale``, ``dweights``) need ``drift =
-misspecified``: the score of any other drift is unperturbed, and a key it
-would ignore is an error too. Values are typed per key (int, float, str,
-bool, or comma-separated lists). ``#`` starts a comment.
+silently fall back to a default. Every spectrum of a variant is a power law
+``scale * j**(-exponent)`` (a :class:`~aldlab.spectra.PowerLaw`) read from
+its ``*_scale`` and ``*_exponent`` keys; exponent 0, the default, is a
+constant spectrum. The preconditioner and smoothing scales must be positive
+and no exponent may be negative; a perturbation scale may have either sign.
+A variant's perturbation keys (``dsigma_scale``, ``dmean_scale``,
+``dweights``) need ``drift = misspecified``, and ``init_weights`` needs
+``init = custom_weights``: a key the variant would ignore is an error. Values
+are typed per key (int, float, str, bool, or comma-separated lists). ``#``
+starts a comment.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-from .spectra import SpectrumSpec
+from .spectra import PowerLaw
 
 EXPERIMENT_KINDS = (
     "fig1_steps_to_accuracy",
@@ -76,8 +82,7 @@ class TargetBlock:
         return [{self.mean_coord: off} if off else 0.0 for off in self.mean_offsets]
 
     def var_specs(self) -> list:
-        spec = SpectrumSpec.power_law(self.var_scale, self.var_exponent)
-        return [spec] * len(self.weights)
+        return [PowerLaw(self.var_scale, self.var_exponent)] * len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -120,10 +125,8 @@ class VariantBlock:
     """One curve of an experiment: spectra, drift mode, initialization."""
 
     name: str
-    gamma_kind: str = "power_law"
     gamma_scale: float = 1.0
     gamma_exponent: float = 0.0
-    cbase_kind: str = "power_law"
     cbase_scale: float = 1.0
     cbase_exponent: float = 0.0
     drift: str = "exact"
@@ -134,16 +137,6 @@ class VariantBlock:
     dweights: tuple[float, ...] = ()
     init: str = "exact_smoothed"
     init_weights: tuple[float, ...] = ()
-
-    def gamma_spec(self) -> SpectrumSpec:
-        if self.gamma_kind == "constant":
-            return SpectrumSpec.constant(self.gamma_scale)
-        return SpectrumSpec.power_law(self.gamma_scale, self.gamma_exponent)
-
-    def cbase_spec(self) -> SpectrumSpec:
-        if self.cbase_kind == "constant":
-            return SpectrumSpec.constant(self.cbase_scale)
-        return SpectrumSpec.power_law(self.cbase_scale, self.cbase_exponent)
 
 
 @dataclass(frozen=True)
@@ -316,6 +309,17 @@ def _validate(kind, blocks, variants, source):
             raise ConfigError(f"{source}: variant {v.name!r} has unknown init {v.init!r}")
         if v.init == "custom_weights" and len(v.init_weights) != k:
             raise ConfigError(f"{source}: variant {v.name!r} needs init_weights per component")
+        if v.init != "custom_weights" and v.init_weights:
+            raise ConfigError(
+                f"{source}: variant {v.name!r} sets init_weights but its init is "
+                f"{v.init!r}; init_weights needs init = custom_weights"
+            )
+        for key in ("gamma_scale", "cbase_scale"):
+            if not getattr(v, key) > 0:
+                raise ConfigError(f"{source}: variant {v.name!r} {key} must be positive")
+        for key in ("gamma_exponent", "cbase_exponent", "dsigma_exponent", "dmean_exponent"):
+            if not getattr(v, key) >= 0:
+                raise ConfigError(f"{source}: variant {v.name!r} {key} must be >= 0")
         if v.drift != "misspecified" and (v.dsigma_scale or v.dmean_scale or v.dweights):
             raise ConfigError(
                 f"{source}: variant {v.name!r} sets a perturbation key but its drift is "

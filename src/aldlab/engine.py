@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .mixture import DiagGMM, MixturePerturbation, apply_perturbation, mixture_score, smooth
-from .spectra import SpectrumSpec
+from .spectra import PowerLaw
 
 BLOCK_SIZE = 512
 
@@ -103,8 +103,8 @@ class ALDConfig:
 
     dim: int
     schedule: AnnealSchedule
-    gamma: SpectrumSpec
-    c_base: SpectrumSpec
+    gamma: PowerLaw
+    c_base: PowerLaw
     drift_mode: str = "exact"
     perturbation: MixturePerturbation | None = None
     init_mode: str = "exact_smoothed"

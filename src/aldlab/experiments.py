@@ -24,15 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .bounds import BoundInputs, error_budget, horizon
-from .conditions import PowerLaw, condition_report
+from .conditions import condition_report
 from .config import ExperimentConfig, VariantBlock
 from .engine import ALDConfig, ChainDivergenceError, make_schedule, run_chains
 from .knn_kl import knn_kl
 from .mixture import DiagGMM, MixturePerturbation, build_truncated_mixture, smooth
-from .spectra import SignedSpectrum, SpectrumSpec
+from .spectra import PowerLaw
 
 WORKERS_ENV = "ALDLAB_WORKERS"
+
+# Names the float bits of chains and estimates. The chain-cache keys hash it
+# (with engine.BLOCK_SIZE), so a change that moves those bits must bump it:
+# cache entries from other numerics then miss instead of being served.
+NUMERICS_VERSION = 1
 
 CSV_HEADER = ("experiment", "variant", "d", "k", "seed", "repeat", "kl", "steps", "wall_time_s")
 
@@ -135,14 +141,10 @@ def variant_perturbation(variant: VariantBlock, n_components: int) -> MixturePer
         return None
     dvars = ()
     if variant.dsigma_scale != 0.0:
-        dvars = (
-            SignedSpectrum(variant.dsigma_scale, SpectrumSpec.power_law(1.0, variant.dsigma_exponent)),
-        ) * n_components
+        dvars = (PowerLaw(variant.dsigma_scale, variant.dsigma_exponent),) * n_components
     dmeans = ()
     if variant.dmean_scale != 0.0:
-        dmeans = (
-            SignedSpectrum(variant.dmean_scale, SpectrumSpec.power_law(1.0, variant.dmean_exponent)),
-        ) * n_components
+        dmeans = (PowerLaw(variant.dmean_scale, variant.dmean_exponent),) * n_components
     return MixturePerturbation(dweights=variant.dweights, dmeans=dmeans, dvars=dvars)
 
 
@@ -158,8 +160,8 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
         cfg.schedule.dt,
         cfg.schedule.s_half,
     )
-    gamma = variant.gamma_spec()
-    c_base = variant.cbase_spec()
+    gamma = PowerLaw(variant.gamma_scale, variant.gamma_exponent)
+    c_base = PowerLaw(variant.cbase_scale, variant.cbase_exponent)
     target = build_target(cfg, d)
     pert = variant_perturbation(variant, target.n_components)
 
@@ -196,6 +198,8 @@ def _batch_digest(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: 
             repr(cfg.target),
             repr(cfg.schedule),
             repr(variant),
+            f"numerics={NUMERICS_VERSION}",
+            f"block={engine.BLOCK_SIZE}",
             f"n_steps={n_steps}",
             f"d={d}",
             f"repeat={repeat}",
@@ -537,13 +541,6 @@ def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
     return score_inputs, init_inputs, ald.schedule
 
 
-def _power_law(entries) -> PowerLaw:
-    """The power law of a perturbation's per-component entries (one shared spectrum, or none)."""
-    if not entries:
-        return PowerLaw(0.0, 0.0)
-    return PowerLaw(abs(entries[0].coef), entries[0].spec.exponent)
-
-
 def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_probe=(100, 1000, 10000)):
     tgt = cfg.target
     offs = tgt.mean_offsets
@@ -551,14 +548,16 @@ def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_pro
     # the conditions are dimension-free; d = 1 only reads the variant's numerics
     ald = build_ald_config(cfg, variant, 1)
     pert = ald.perturbation or MixturePerturbation()
+    # every component shares one perturbation spectrum of each kind, or has none
+    zero = (PowerLaw(0.0),)
     return condition_report(
         tgt.weights,
         sigma_exponent=tgt.var_exponent,
         sigma_scales=tuple(tgt.var_scale * s for s in tgt.var_scales),
-        smooth=PowerLaw(ald.schedule.theta0 * ald.c_base.scale, ald.c_base.decay_exponent()),
-        gamma=PowerLaw(ald.gamma.scale, ald.gamma.decay_exponent()),
-        dmean=_power_law(pert.dmeans),
-        dsigma=_power_law(pert.dvars),
+        smooth=PowerLaw(ald.schedule.theta0 * ald.c_base.scale, ald.c_base.exponent),
+        gamma=ald.gamma,
+        dmean=(pert.dmeans or zero)[0],
+        dsigma=(pert.dvars or zero)[0],
         weights_tilde=np.asarray(tgt.weights) + pert.weight_shifts(len(tgt.weights)),
         mean_gap_sq=gap * gap,
         d_probe=d_probe,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import SignedSpectrum, SpectrumSpec
+from .spectra import PowerLaw
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 VAR_FLOOR = 1e-300
@@ -85,13 +85,6 @@ class DiagGMM:
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise MixtureError(f"points must have dimension {self.dim}, got shape {arr.shape}")
         return arr, single
-
-    def component_log_density(self, x) -> np.ndarray:
-        """Per-component log densities, shape ``(n, K)`` (or ``(K,)`` for one point)."""
-        X, single = self._as_batch(x)
-        a, _ = _log_joint(self.means, self.variances, np.zeros(self.n_components), X)
-        out = a - 0.5 * self.dim * _LOG_2PI
-        return out[0] if single else out
 
     def log_density(self, x):
         """Mixture log density via log-sum-exp; finite for all finite points."""
@@ -200,7 +193,7 @@ def mean_rule_to_vector(rule, d: int) -> np.ndarray:
 def build_truncated_mixture(
     weights,
     mean_rules: Sequence,
-    var_specs: Sequence[SpectrumSpec],
+    var_specs: Sequence[PowerLaw],
     d: int,
     var_scales: Sequence[float] | None = None,
 ) -> DiagGMM:
@@ -235,15 +228,13 @@ def build_truncated_mixture(
     return DiagGMM(weights=w, means=means, variances=variances)
 
 
-def smooth(gmm: DiagGMM, c_spec, level: float) -> DiagGMM:
+def smooth(gmm: DiagGMM, c_spec: PowerLaw, level: float) -> DiagGMM:
     """Convolve with ``N(0, level * C)``: adds ``level * lambda_j`` to every variance."""
     if level < 0:
         raise MixtureError(f"smoothing level must be >= 0, got {level}")
     if level == 0:
         return gmm
-    lam = c_spec.eigenvalues(gmm.dim) if isinstance(c_spec, SpectrumSpec) else np.asarray(c_spec, dtype=float)
-    if lam.shape != (gmm.dim,):
-        raise MixtureError(f"smoothing spectrum has shape {lam.shape}, expected ({gmm.dim},)")
+    lam = c_spec.eigenvalues(gmm.dim)
     return DiagGMM(
         weights=gmm.weights,
         means=gmm.means,
@@ -254,29 +245,12 @@ def smooth(gmm: DiagGMM, c_spec, level: float) -> DiagGMM:
 # -- perturbations ------------------------------------------------------
 
 
-def _shift_to_vector(entry, d: int) -> np.ndarray:
-    """Expand one per-component perturbation entry to a signed length-d vector."""
-    if entry is None:
-        return np.zeros(d)
-    if isinstance(entry, SignedSpectrum):
-        return entry.eigenvalues(d)
-    if isinstance(entry, SpectrumSpec):
-        return entry.eigenvalues(d)
-    arr = np.asarray(entry, dtype=float)
-    if arr.ndim == 0:
-        return np.full(d, float(arr))
-    if arr.ndim != 1 or arr.size < d:
-        raise MixtureError(f"perturbation vector of length {arr.size} too short for d={d}")
-    return arr[:d].copy()
-
-
 @dataclass(frozen=True)
 class MixturePerturbation:
     """Additive perturbation (dweights, dmeans, dvars) of a mixture.
 
-    ``dmeans`` and ``dvars`` hold one entry per component: ``None`` (zero),
-    a signed vector, a :class:`SpectrumSpec`, or a :class:`SignedSpectrum`.
-    An empty tuple means no perturbation of that kind.
+    ``dmeans`` and ``dvars`` hold one signed :class:`PowerLaw` per
+    component; an empty tuple means no perturbation of that kind.
     """
 
     dweights: tuple = field(default_factory=tuple)
@@ -288,29 +262,25 @@ class MixturePerturbation:
         object.__setattr__(self, "dmeans", tuple(self.dmeans))
         object.__setattr__(self, "dvars", tuple(self.dvars))
 
-    def is_zero(self) -> bool:
-        return (
-            all(v == 0.0 for v in self.dweights)
-            and all(e is None for e in self.dmeans)
-            and all(e is None for e in self.dvars)
-        )
-
     def mean_shifts(self, k: int, d: int) -> np.ndarray:
-        if self.dmeans and len(self.dmeans) != k:
-            raise MixtureError(f"perturbation has {len(self.dmeans)} mean entries for {k} components")
-        rows = self.dmeans if self.dmeans else (None,) * k
-        return np.stack([_shift_to_vector(e, d) for e in rows])
+        return _shifts(self.dmeans, "mean", k, d)
 
     def var_shifts(self, k: int, d: int) -> np.ndarray:
-        if self.dvars and len(self.dvars) != k:
-            raise MixtureError(f"perturbation has {len(self.dvars)} variance entries for {k} components")
-        rows = self.dvars if self.dvars else (None,) * k
-        return np.stack([_shift_to_vector(e, d) for e in rows])
+        return _shifts(self.dvars, "variance", k, d)
 
     def weight_shifts(self, k: int) -> np.ndarray:
         if self.dweights and len(self.dweights) != k:
             raise MixtureError(f"perturbation has {len(self.dweights)} weight entries for {k} components")
         return np.asarray(self.dweights, dtype=float) if self.dweights else np.zeros(k)
+
+
+def _shifts(entries: tuple, what: str, k: int, d: int) -> np.ndarray:
+    """The ``(k, d)`` shifts of one kind: a row per component, zeros for ``()``."""
+    if not entries:
+        return np.zeros((k, d))
+    if len(entries) != k:
+        raise MixtureError(f"perturbation has {len(entries)} {what} entries for {k} components")
+    return np.stack([e.eigenvalues(d) for e in entries])
 
 
 def apply_perturbation(gmm: DiagGMM, pert: MixturePerturbation) -> DiagGMM:

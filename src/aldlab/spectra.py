@@ -1,126 +1,50 @@
-"""Lazy eigenvalue sequences of positive diagonal operators.
+"""Power-law sequences: the one spectrum type of the lab.
 
-A :class:`SpectrumSpec` describes the spectrum ``(eigenvalue(j))_{j>=1}`` of a
-diagonal operator without storing it densely, so the same object can back
-truncations at any dimension ``d``. Three kinds are supported:
-
-* ``power_law``: ``scale * j**(-exponent)``,
-* ``constant``: the same positive value at every coordinate,
-* ``explicit``: a finite list of positive values (defined for ``j <= len``).
+Every sequence the paper's conditions speak of -- the mixture covariances,
+the smoothing covariance, the preconditioner and the score perturbation --
+is ``scale * j**(-exponent)`` for ``j >= 1``. A :class:`PowerLaw` describes
+such a sequence without storing it, so the same object backs truncations at
+any dimension ``d``. A zero scale is the zero sequence and a negative scale
+a signed perturbation; a layer that needs positive values checks them where
+it uses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class SpectrumError(ValueError):
-    """Raised for invalid spectrum parameters or out-of-range indices."""
+    """Raised for invalid spectrum parameters or dimensions."""
 
 
 @dataclass(frozen=True)
-class SpectrumSpec:
-    """Eigenvalue rule for a positive diagonal operator, indexed from j = 1."""
+class PowerLaw:
+    """The sequence ``scale * j**(-exponent)``, indexed from j = 1."""
 
-    kind: str
-    scale: float = 1.0
+    scale: float
     exponent: float = 0.0
-    values: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind == "power_law":
-            if not self.scale > 0:
-                raise SpectrumError(f"power_law scale must be positive, got {self.scale}")
-            if self.exponent < 0:
-                raise SpectrumError(f"power_law exponent must be >= 0, got {self.exponent}")
-        elif self.kind == "constant":
-            if not self.scale > 0:
-                raise SpectrumError(f"constant value must be positive, got {self.scale}")
-        elif self.kind == "explicit":
-            vals = tuple(float(v) for v in self.values)
-            if not vals:
-                raise SpectrumError("explicit spectrum needs at least one value")
-            if any(not v > 0 for v in vals):
-                bad = next(i for i, v in enumerate(vals) if not v > 0)
-                raise SpectrumError(f"explicit spectrum value at j={bad + 1} is not positive")
-            object.__setattr__(self, "values", vals)
-        else:
-            raise SpectrumError(f"unknown spectrum kind {self.kind!r}")
-
-    @staticmethod
-    def power_law(scale: float, exponent: float) -> "SpectrumSpec":
-        return SpectrumSpec(kind="power_law", scale=float(scale), exponent=float(exponent))
-
-    @staticmethod
-    def constant(value: float) -> "SpectrumSpec":
-        return SpectrumSpec(kind="constant", scale=float(value))
-
-    @staticmethod
-    def explicit(values) -> "SpectrumSpec":
-        return SpectrumSpec(kind="explicit", values=tuple(values))
-
-    def eigenvalue(self, j: int) -> float:
-        """Eigenvalue at coordinate ``j`` (1-indexed)."""
-        if j < 1:
-            raise SpectrumError(f"coordinate index must be >= 1, got {j}")
-        if self.kind == "power_law":
-            return self.scale * float(j) ** (-self.exponent)
-        if self.kind == "constant":
-            return self.scale
-        if j > len(self.values):
-            raise SpectrumError(
-                f"explicit spectrum has {len(self.values)} values, index {j} out of range"
-            )
-        return self.values[j - 1]
+        scale, exponent = float(self.scale), float(self.exponent)
+        if not (math.isfinite(scale) and math.isfinite(exponent)):
+            raise SpectrumError(f"power law needs finite parameters, got {self.scale}, {self.exponent}")
+        if exponent < 0:
+            raise SpectrumError(f"power law exponent must be >= 0, got {exponent}")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "exponent", exponent)
 
     def eigenvalues(self, d: int) -> np.ndarray:
-        """First ``d`` eigenvalues as a float array."""
+        """First ``d`` terms as a float array."""
         if d < 1:
             raise SpectrumError(f"dimension must be >= 1, got {d}")
-        if self.kind == "power_law":
-            j = np.arange(1, d + 1, dtype=float)
-            return self.scale * j ** (-self.exponent)
-        if self.kind == "constant":
-            return np.full(d, self.scale)
-        if d > len(self.values):
-            raise SpectrumError(
-                f"explicit spectrum has {len(self.values)} values, dimension {d} out of range"
-            )
-        return np.asarray(self.values[:d], dtype=float)
+        j = np.arange(1, d + 1, dtype=float)
+        return self.scale * j ** (-self.exponent)
 
-    def summable(self) -> bool:
-        """Trace-class diagnostic: does the full sequence have a finite sum?
-
-        Power laws are summable iff exponent > 1; a (positive) constant
-        sequence never is; an explicit sequence is finite by construction.
-        """
-        if self.kind == "power_law":
-            return self.exponent > 1.0
-        if self.kind == "constant":
-            return False
-        return True
-
-    def decay_exponent(self) -> float:
-        """Asymptotic decay exponent used by the condition checkers.
-
-        Returns the power-law exponent, 0.0 for constants, and NaN for
-        explicit sequences (no asymptotic rule is declared).
-        """
-        if self.kind == "power_law":
-            return self.exponent
-        if self.kind == "constant":
-            return 0.0
-        return float("nan")
-
-
-@dataclass(frozen=True)
-class SignedSpectrum:
-    """A spectrum scaled by a signed coefficient, for perturbation sequences."""
-
-    coef: float
-    spec: SpectrumSpec
-
-    def eigenvalues(self, d: int) -> np.ndarray:
-        return self.coef * self.spec.eigenvalues(d)
+    @property
+    def decay(self) -> float:
+        """Decay exponent in j; +inf for the zero sequence."""
+        return math.inf if self.scale == 0.0 else self.exponent

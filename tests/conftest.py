@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aldlab import DiagGMM, SpectrumSpec, build_truncated_mixture
+from aldlab import DiagGMM, PowerLaw, build_truncated_mixture
 
 
 def random_mixture(rng, max_components=4, max_dim=6, separation=6.0):
@@ -20,7 +20,7 @@ def fig2_target(d):
     return build_truncated_mixture(
         (0.75, 0.25),
         [0.0, {1: 10.0}],
-        [SpectrumSpec.power_law(1.0, 1.25)] * 2,
+        [PowerLaw(1.0, 1.25)] * 2,
         d,
         var_scales=(1.2, 2.0),
     )
@@ -30,7 +30,7 @@ def fig1_target(d):
     return build_truncated_mixture(
         (0.75, 0.25),
         [0.0, {1: 10.0}],
-        [SpectrumSpec.power_law(1.0, 2.0)] * 2,
+        [PowerLaw(1.0, 2.0)] * 2,
         d,
         var_scales=(1.2, 2.0),
     )
@@ -40,7 +40,7 @@ def fig3_target(d):
     return build_truncated_mixture(
         (0.75, 0.25),
         [0.0, {1: 10.0}],
-        [SpectrumSpec.power_law(1.0, 2.0)] * 2,
+        [PowerLaw(1.0, 2.0)] * 2,
         d,
     )
 

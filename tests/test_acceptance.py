@@ -225,7 +225,7 @@ def test_c04_horizon_constant_end_to_end():
     t0 = time.perf_counter()
     d, eps, dt = 2, 0.3, 9e-3
     tgt = al.build_truncated_mixture((0.75, 0.25), [0.0, {1: 10.0}],
-                                     [al.SpectrumSpec.power_law(1, 2.0)] * 2, d,
+                                     [al.PowerLaw(1, 2.0)] * 2, d,
                                      var_scales=(1.2, 2.0))
     js = np.arange(1, d + 1, dtype=float)
     inp = al.BoundInputs(weights=(0.75, 0.25), weights_tilde=(0.75, 0.25),
@@ -235,8 +235,8 @@ def test_c04_horizon_constant_end_to_end():
     t_horizon = al.horizon(al.kd_constant(inp), eps)
     n_steps = math.ceil(t_horizon / dt) + 1
     cfg = al.ALDConfig(dim=d, schedule=al.make_schedule(n_steps, dt, 20.0),
-                       gamma=al.SpectrumSpec.power_law(1, 1.5),
-                       c_base=al.SpectrumSpec.power_law(1, 2.7))
+                       gamma=al.PowerLaw(1, 1.5),
+                       c_base=al.PowerLaw(1, 2.7))
     batch = al.run_chains(cfg, tgt, 2500, seed=404)
     P = tgt.sample(2500, np.random.default_rng(405))
     kl = al.knn_kl(P, batch.samples, 20).value
@@ -375,12 +375,12 @@ def test_c09_knn_robustness(fig2_ci):
 def test_c10_ideal_drift_path_matching():
     t0 = time.perf_counter()
     tgt = al.build_truncated_mixture((0.75, 0.25), [0.0, {1: 10.0}],
-                                     [al.SpectrumSpec.power_law(1, 1.25)] * 2, 2,
+                                     [al.PowerLaw(1, 1.25)] * 2, 2,
                                      var_scales=(1.2, 2.0))
     sched = al.make_schedule(2000, 9e-3, 20.0)
-    cb = al.SpectrumSpec.power_law(1, 2.7)
+    cb = al.PowerLaw(1, 2.7)
     cfg = al.ALDConfig(dim=2, schedule=sched,
-                       gamma=al.SpectrumSpec.power_law(1, 1.5), c_base=cb,
+                       gamma=al.PowerLaw(1, 1.5), c_base=cb,
                        drift_mode="ideal_corrected")
     cps = (sched.n_steps // 4, sched.n_steps // 2, 3 * sched.n_steps // 4)
     batch = al.run_chains(cfg, tgt, 2500, seed=1010, checkpoints=cps)

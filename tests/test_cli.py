@@ -57,9 +57,7 @@ seed = 5
 d_values = 1
 
 [variant solo]
-gamma_kind = constant
 gamma_scale = 1.0
-cbase_kind = constant
 cbase_scale = 1.0
 
 [output]
@@ -92,9 +90,7 @@ kind = bounds_report
 d_values = 1, 5
 
 [variant green]
-gamma_kind = power_law
 gamma_exponent = 1.5
-cbase_kind = power_law
 cbase_exponent = 2.7
 
 [output]

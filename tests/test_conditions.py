@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aldlab import PowerLaw, condition_report
+from aldlab.conditions import ConditionError
 
 
 def growth_verdict(sums_by_d):
@@ -119,6 +120,29 @@ class TestBands:
         rep = condition_report((0.75, 0.25), **kw)
         assert rep["band_m8"].verdict == "diverges"  # 0.2 > 1/8
         assert rep["band_r2"].verdict == "converges"  # 0.2 < 1/2
+
+
+class TestSignedPerturbation:
+    def test_negative_shift_counts_with_the_same_decay(self):
+        plus = condition_report((0.75, 0.25), **fig3_kwargs(3.5))
+        kw = fig3_kwargs(3.5)
+        kw["dsigma"] = PowerLaw(-0.1, 3.5)
+        minus = condition_report((0.75, 0.25), **kw)
+        for name in ("init_var", "s1_score_moment", "m0_first", "mpm_band_series"):
+            assert minus[name].exponent_margin == plus[name].exponent_margin
+            assert minus[name].verdict == plus[name].verdict
+        # the series over perturbed variances grow as the variances shrink;
+        # those over the unperturbed ones see only |dsigma|
+        for name in ("init_var", "s1_score_moment", "m0_first"):
+            assert minus[name].partial_sum(100) > plus[name].partial_sum(100) > 0
+        assert minus["mpm_band_series"].partial_sum(100) == plus["mpm_band_series"].partial_sum(100) > 0
+        assert minus["band_m8"].partial_sum(100) == pytest.approx(0.1)
+
+    def test_nonpositive_perturbed_variance_rejected(self):
+        kw = fig3_kwargs(3.5)
+        kw["dsigma"] = PowerLaw(-1.0, 3.5)  # sigma_1 + dsigma_1 = 0
+        with pytest.raises(ConditionError, match="perturbed variances must be positive"):
+            condition_report((0.75, 0.25), **kw)
 
 
 class TestGrowthAgreement:

@@ -12,11 +12,12 @@ MINIMAL = """
 kind = fig2_bias_vs_dim
 
 [variant solo]
-gamma_kind = constant
-gamma_scale = 1.0
-cbase_kind = constant
-cbase_scale = 1.0
 """
+
+
+def solo(*keys):
+    """MINIMAL with ``keys`` added to its one variant."""
+    return MINIMAL + "".join(f"{key}\n" for key in keys)
 
 
 def test_minimal_defaults():
@@ -64,25 +65,64 @@ def test_bad_simplex_rejected():
 
 
 def test_misspecified_variant_needs_perturbation():
-    bad = MINIMAL.replace("gamma_kind = constant", "drift = misspecified\ngamma_kind = constant")
     with pytest.raises(ConfigError, match="no perturbation"):
-        parse_config_text(bad)
+        parse_config_text(solo("drift = misspecified"))
 
 
 @pytest.mark.parametrize("drift", ["exact", "ideal_corrected"])
 @pytest.mark.parametrize("key", ["dsigma_scale = 0.1", "dmean_scale = 0.1", "dweights = -0.05, 0.05"])
 def test_perturbation_keys_need_misspecified_drift(drift, key):
-    bad = MINIMAL.replace("gamma_kind = constant", f"drift = {drift}\n{key}\ngamma_kind = constant")
     with pytest.raises(ConfigError, match="variant 'solo' sets a perturbation key.*drift = misspecified"):
-        parse_config_text(bad)
+        parse_config_text(solo(f"drift = {drift}", key))
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        (("init_weights = 0.1, 0.9",), "sets init_weights but its init is 'exact_smoothed'"),
+        (("init = exact_smoothed", "init_weights = 0.1, 0.9"), "init_weights needs init = custom_weights"),
+        (("gamma_scale = 0.0",), "gamma_scale must be positive"),
+        (("cbase_scale = -1.0",), "cbase_scale must be positive"),
+        (("gamma_exponent = -0.5",), "gamma_exponent must be >= 0"),
+        (("cbase_exponent = -1",), "cbase_exponent must be >= 0"),
+        (("drift = misspecified", "dsigma_scale = 0.1", "dsigma_exponent = -3.5"), "dsigma_exponent must be >= 0"),
+        (("drift = misspecified", "dmean_scale = 0.1", "dmean_exponent = -1"), "dmean_exponent must be >= 0"),
+    ],
+    ids=[
+        "init_weights_without_custom_init",
+        "init_weights_with_exact_smoothed",
+        "zero_gamma_scale",
+        "negative_cbase_scale",
+        "negative_gamma_exponent",
+        "negative_cbase_exponent",
+        "negative_dsigma_exponent",
+        "negative_dmean_exponent",
+    ],
+)
+def test_variant_values_checked_at_parse_time(keys, message):
+    # each would otherwise parse and be ignored, or fail later inside build_ald_config
+    with pytest.raises(ConfigError, match=f"variant 'solo' .*{message}"):
+        parse_config_text(solo(*keys))
+
+
+def test_signed_perturbation_scale_parses():
+    cfg = parse_config_text(solo("drift = misspecified", "dsigma_scale = -0.1", "dsigma_exponent = 3.5"))
+    assert cfg.variant("solo").dsigma_scale == -0.1
 
 
 def test_removed_init_options_rejected():
     with pytest.raises(ConfigError, match="unknown init 'smoothed_tau'"):
-        parse_config_text(MINIMAL.replace("gamma_kind = constant", "init = smoothed_tau\ngamma_kind = constant"))
+        parse_config_text(solo("init = smoothed_tau"))
     for key in ("init_tau = 1.0, 1.0", "init_smoothed = false"):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text(MINIMAL.replace("gamma_kind = constant", f"{key}\ngamma_kind = constant"))
+            parse_config_text(solo(key))
+
+
+def test_removed_kind_keys_rejected():
+    # every spectrum is a power law; exponent 0 is the constant spectrum
+    for key in ("gamma_kind = constant", "cbase_kind = power_law"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(solo(key))
 
 
 def test_nonincreasing_d_rejected():

@@ -9,8 +9,7 @@ from aldlab import (
     DiagGMM,
     EngineError,
     MixturePerturbation,
-    SignedSpectrum,
-    SpectrumSpec,
+    PowerLaw,
     apply_perturbation,
     build_truncated_mixture,
     config_digest,
@@ -24,7 +23,7 @@ from conftest import fig2_target
 
 
 def single_gaussian(d=1, var=1.0):
-    return build_truncated_mixture((1.0,), [0.0], [SpectrumSpec.constant(var)], d)
+    return build_truncated_mixture((1.0,), [0.0], [PowerLaw(var)], d)
 
 
 def one_step(
@@ -33,8 +32,8 @@ def one_step(
     perturbation=None,
     dt=0.05,
     s_half=20.0,
-    gamma=SpectrumSpec.power_law(1.0, 1.5),
-    c_base=SpectrumSpec.power_law(1.0, 2.7),
+    gamma=PowerLaw(1.0, 1.5),
+    c_base=PowerLaw(1.0, 2.7),
 ):
     """One noise-free ``run_chains`` step of 64 chains: the config and the batch (state 0 kept)."""
     cfg = ALDConfig(
@@ -84,19 +83,19 @@ class TestDrifts:
     def test_exact_theta_zero_is_raw_score(self, rng):
         # the step loop's kernel call, at level 0, is the target's own score
         g = fig2_target(3)
-        lam = SpectrumSpec.power_law(1.0, 2.7).eigenvalues(3)
+        lam = PowerLaw(1.0, 2.7).eigenvalues(3)
         x = rng.normal(size=(5, 3))
         out = mixture_score(g.means, g.variances + 0.0 * lam[None, :], np.log(g.weights), x)
         np.testing.assert_array_equal(out, g.score(x))
 
     def test_exact_variance_addition(self):
         g = single_gaussian()
-        out = smooth(g, SpectrumSpec.constant(1.0), 1.0).score(np.array([2.0]))
+        out = smooth(g, PowerLaw(1.0), 1.0).score(np.array([2.0]))
         np.testing.assert_allclose(out, [-1.0])
 
     def test_exact_matches_finite_differences(self):
         g = fig2_target(3)
-        c = SpectrumSpec.power_law(1.0, 2.7)
+        c = PowerLaw(1.0, 2.7)
         x = np.array([1.0, 0.5, -0.2])
         sm = smooth(g, c, 40.0)
         h = 1e-5
@@ -109,7 +108,7 @@ class TestDrifts:
 
     def test_misspecified_zero_perturbation(self):
         g = fig2_target(2)
-        c = SpectrumSpec.power_law(1.0, 4.0)
+        c = PowerLaw(1.0, 4.0)
         _, exact = one_step(g, c_base=c)
         _, mis = one_step(g, "misspecified", MixturePerturbation(), c_base=c)
         np.testing.assert_array_equal(mis.samples, exact.samples)
@@ -118,9 +117,9 @@ class TestDrifts:
         # misspecified drift on g is exact drift on the perturbed mixture: from
         # one shared init law the two noisy multi-step runs agree bit for bit
         g = fig2_target(2)
-        c = SpectrumSpec.power_law(1.0, 4.0)
+        c = PowerLaw(1.0, 4.0)
         pert = MixturePerturbation(
-            dvars=(SignedSpectrum(1.0, SpectrumSpec.power_law(1.0, 3.5)),) * 2
+            dvars=(PowerLaw(1.0, 3.5),) * 2
         )
         sched = make_schedule(20, 0.05, 20.0)
 
@@ -128,7 +127,7 @@ class TestDrifts:
             cfg = ALDConfig(
                 dim=2,
                 schedule=sched,
-                gamma=SpectrumSpec.power_law(1.0, 1.5),
+                gamma=PowerLaw(1.0, 1.5),
                 c_base=c,
                 init_mode="custom_mixture",
                 init_mixture=smooth(g, c, sched.theta0),
@@ -144,7 +143,7 @@ class TestDrifts:
         # all components equal: responsibilities cancel weight changes
         g = DiagGMM(weights=(0.5, 0.5), means=[[0.0], [0.0]], variances=[[1.0], [1.0]])
         pert = MixturePerturbation(dweights=(-0.3, 0.3))
-        c = SpectrumSpec.constant(1.0)
+        c = PowerLaw(1.0)
         _, exact = one_step(g, c_base=c)
         _, mis = one_step(g, "misspecified", pert, c_base=c)
         np.testing.assert_allclose(mis.samples, exact.samples)
@@ -152,7 +151,7 @@ class TestDrifts:
     def test_ideal_direct_substitution(self):
         # gamma=1, effective smoothing eigenvalue theta0*lambda=2, T=1: the
         # corrected drift is twice the score of the level-2 law N(0, 3)
-        one = SpectrumSpec.constant(1.0)
+        one = PowerLaw(1.0)
         _, batch = one_step(
             single_gaussian(), "ideal_corrected", dt=1.0, s_half=1.0, gamma=one, c_base=one
         )
@@ -173,14 +172,14 @@ class TestEmStep:
         # minus the noise-free one is the noise: sqrt(2 dt gamma) xi in every
         # drift mode, without the path-matching term
         g = fig2_target(2)
-        gam = SpectrumSpec.power_law(1.0, 1.5)
+        gam = PowerLaw(1.0, 1.5)
         n = 4096
         for mode in ("exact", "ideal_corrected"):
             cfg = ALDConfig(
                 dim=2,
                 schedule=make_schedule(2, 0.5, 20.0),
                 gamma=gam,
-                c_base=SpectrumSpec.power_law(1.0, 2.7),
+                c_base=PowerLaw(1.0, 2.7),
                 drift_mode=mode,
             )
             noise = run_chains(cfg, g, n, seed=5).samples - run_chains(
@@ -196,8 +195,8 @@ class TestEmStep:
         cfg = ALDConfig(
             dim=1,
             schedule=make_schedule(3, 1e306, 1e-9),
-            gamma=SpectrumSpec.constant(1.0),
-            c_base=SpectrumSpec.constant(1e-9),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1e-9),
             init_mode="custom_mixture",
             init_mixture=DiagGMM(weights=(1.0,), means=[[1.0]], variances=[[1e-4]]),
         )
@@ -213,7 +212,7 @@ class TestRunChains:
         # to the preconditioner
         g = fig2_target(2)
         pert = MixturePerturbation(
-            dvars=(SignedSpectrum(1.0, SpectrumSpec.power_law(1.0, 3.5)),) * 2
+            dvars=(PowerLaw(1.0, 3.5),) * 2
         )
         for mode in ("exact", "misspecified", "ideal_corrected"):
             cfg, batch = one_step(g, mode, pert if mode == "misspecified" else None)
@@ -232,8 +231,8 @@ class TestRunChains:
         cfg = ALDConfig(
             dim=3,
             schedule=make_schedule(50, 9e-3, 20.0),
-            gamma=SpectrumSpec.power_law(1.0, 1.5),
-            c_base=SpectrumSpec.power_law(1.0, 2.7),
+            gamma=PowerLaw(1.0, 1.5),
+            c_base=PowerLaw(1.0, 2.7),
         )
         a = run_chains(cfg, g, 700, seed=11)
         b = run_chains(cfg, g, 700, seed=11)
@@ -248,8 +247,8 @@ class TestRunChains:
         cfg = ALDConfig(
             dim=2,
             schedule=make_schedule(10, 9e-3, 20.0),
-            gamma=SpectrumSpec.constant(1.0),
-            c_base=SpectrumSpec.constant(1.0),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1.0),
         )
         a = run_chains(cfg, g, 32, seed=1)
         b = run_chains(cfg, g, 32, seed=2)
@@ -262,15 +261,15 @@ class TestRunChains:
         cfg = ALDConfig(
             dim=1,
             schedule=sched,
-            gamma=SpectrumSpec.constant(1.0),
-            c_base=SpectrumSpec.constant(1.0),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1.0),
         )
         batch = run_chains(cfg, g, 8, seed=5, noise_scale=0.0, checkpoints=(0, 1))
         x0 = batch.checkpoints[0]
         x1 = batch.checkpoints[1]
-        np.testing.assert_allclose(x1, x0 + 0.1 * smooth(g, SpectrumSpec.constant(1.0), 2.0).score(x0))
+        np.testing.assert_allclose(x1, x0 + 0.1 * smooth(g, PowerLaw(1.0), 2.0).score(x0))
         np.testing.assert_allclose(
-            batch.samples, x1 + 0.1 * smooth(g, SpectrumSpec.constant(1.0), 1.0).score(x1)
+            batch.samples, x1 + 0.1 * smooth(g, PowerLaw(1.0), 1.0).score(x1)
         )
 
     def test_single_gaussian_tracks_ou_moments(self):
@@ -281,8 +280,8 @@ class TestRunChains:
         cfg = ALDConfig(
             dim=2,
             schedule=sched,
-            gamma=SpectrumSpec.constant(1.0),
-            c_base=SpectrumSpec.constant(1.0),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1.0),
         )
         batch = run_chains(cfg, g, 4096, seed=17)
         v = 1.0 + sched.theta0  # smoothed init variance
@@ -301,14 +300,14 @@ class TestRunChains:
         base = ALDConfig(
             dim=1,
             schedule=make_schedule(300, 9e-3, 10.0),
-            gamma=SpectrumSpec.constant(1.0),
-            c_base=SpectrumSpec.constant(1.0),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1.0),
         )
         scaled = ALDConfig(
             dim=1,
             schedule=make_schedule(300, 3e-3, 10.0),
-            gamma=SpectrumSpec.constant(3.0),
-            c_base=SpectrumSpec.constant(1.0),
+            gamma=PowerLaw(3.0),
+            c_base=PowerLaw(1.0),
         )
         a = run_chains(base, g, 4096, seed=23).samples
         b = run_chains(scaled, g, 4096, seed=23).samples
@@ -320,8 +319,8 @@ class TestRunChains:
         cfg = ALDConfig(
             dim=1,
             schedule=make_schedule(4000, 0.5, 1e-9),
-            gamma=SpectrumSpec.constant(1.0),
-            c_base=SpectrumSpec.constant(1e-9),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1e-9),
         )
         with pytest.raises(ChainDivergenceError) as err:
             run_chains(cfg, g, 8, seed=1)
@@ -329,7 +328,7 @@ class TestRunChains:
 
     def test_init_exact_smoothed_moments(self):
         g = fig2_target(2)
-        c = SpectrumSpec.power_law(1.0, 2.7)
+        c = PowerLaw(1.0, 2.7)
         pts = smooth(g, c, 40.0).sample(60_000, np.random.default_rng(2))
         sm = smooth(g, c, 40.0)
         w = sm.weights
@@ -341,7 +340,7 @@ class TestRunChains:
 
     def test_init_theta0_zero_samples_target(self):
         g = fig2_target(2)
-        a = smooth(g, SpectrumSpec.constant(1.0), 0.0).sample(40, np.random.default_rng(3))
+        a = smooth(g, PowerLaw(1.0), 0.0).sample(40, np.random.default_rng(3))
         b = g.sample(40, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
@@ -351,8 +350,8 @@ class TestRunChains:
         cfg = ALDConfig(
             dim=2,
             schedule=make_schedule(2, 0.01, 20.0),
-            gamma=SpectrumSpec.constant(1.0),
-            c_base=SpectrumSpec.constant(1.0),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1.0),
             init_mode="custom_mixture",
             init_mixture=wrong,
         )
@@ -364,13 +363,13 @@ class TestRunChains:
         g = fig2_target(2)
         sched = make_schedule(5, 0.01, 20.0)
         with pytest.raises(EngineError):
-            ALDConfig(dim=2, schedule=sched, gamma=SpectrumSpec.constant(1.0),
-                      c_base=SpectrumSpec.constant(1.0), drift_mode="misspecified")
+            ALDConfig(dim=2, schedule=sched, gamma=PowerLaw(1.0),
+                      c_base=PowerLaw(1.0), drift_mode="misspecified")
         with pytest.raises(EngineError):
-            ALDConfig(dim=2, schedule=sched, gamma=SpectrumSpec.constant(1.0),
-                      c_base=SpectrumSpec.constant(1.0), init_mode="custom_mixture")
-        cfg = ALDConfig(dim=3, schedule=sched, gamma=SpectrumSpec.constant(1.0),
-                        c_base=SpectrumSpec.constant(1.0))
+            ALDConfig(dim=2, schedule=sched, gamma=PowerLaw(1.0),
+                      c_base=PowerLaw(1.0), init_mode="custom_mixture")
+        cfg = ALDConfig(dim=3, schedule=sched, gamma=PowerLaw(1.0),
+                        c_base=PowerLaw(1.0))
         with pytest.raises(EngineError):
             run_chains(cfg, g, 10, seed=1)  # target dim mismatch
 
@@ -382,8 +381,8 @@ def test_fig2_green_full_constants_d5():
     cfg = ALDConfig(
         dim=5,
         schedule=make_schedule(20000, 9e-3, 20.0),
-        gamma=SpectrumSpec.power_law(1.0, 1.5),
-        c_base=SpectrumSpec.power_law(1.0, 2.7),
+        gamma=PowerLaw(1.0, 1.5),
+        c_base=PowerLaw(1.0, 2.7),
     )
     batch = run_chains(cfg, g, 2500, seed=41)
     target_pts = g.sample(2500, np.random.default_rng(42))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aldlab import experiments
+from aldlab import engine, experiments
 from aldlab.bounds import error_budget, weight_kl
 from aldlab.config import load_config, parse_config_text
 from aldlab.experiments import (
@@ -52,15 +52,11 @@ seed = 777
 d_values = 1, 2
 
 [variant green]
-gamma_kind = power_law
 gamma_exponent = 1.5
-cbase_kind = power_law
 cbase_exponent = 2.7
 
 [variant red]
-gamma_kind = constant
 gamma_scale = 1.0
-cbase_kind = constant
 cbase_scale = 1.0
 """
 
@@ -329,6 +325,18 @@ class TestKnnRobustness:
         with pytest.raises(ExperimentError, match="variant 'green', d=1, repeat=0; run the sweep"):
             run_knn_robustness(rob_cfg)
 
+    @pytest.mark.parametrize("owner, name", [(experiments, "NUMERICS_VERSION"), (engine, "BLOCK_SIZE")])
+    def test_other_numerics_miss_the_cache(self, tmp_path, monkeypatch, owner, name):
+        # a batch simulated under other numerics is never served: the keys
+        # hash the numerics version and the block size
+        cfg = tiny_cfg(tmp_path, name="rob")
+        run_experiment(cfg)
+        rob_cfg = replace(cfg, experiment="knn_robustness")
+        assert len(run_knn_robustness(rob_cfg)) == 16
+        monkeypatch.setattr(owner, name, getattr(owner, name) + 1)
+        with pytest.raises(ExperimentError, match="variant 'green', d=1, repeat=0; run the sweep"):
+            run_knn_robustness(rob_cfg)
+
     def test_missing_cache_instructs_rerun(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="nocache")
         rob_cfg = replace(cfg, experiment="knn_robustness")
@@ -375,9 +383,7 @@ step_cap = 400
 step_grid = 25, 50, 100, 200, 400
 
 [variant only]
-gamma_kind = constant
 gamma_scale = 1.0
-cbase_kind = constant
 cbase_scale = 1.0
 """
 
@@ -460,6 +466,26 @@ class TestBoundsReport:
                 np.testing.assert_array_equal(row, 0.1 * js**-3.5)
             assert not np.any(inputs.dmeans)
 
+    def test_signed_perturbation_reaches_the_conditions(self, tmp_path):
+        # a negative covariance shift shrinks the score's variances, so the
+        # score-moment and initialization series grow; the sign must survive
+        cfg = load_config("configs/fig3.cfg")
+        plus = cfg.variant("admissible")
+        minus = replace(plus, name="minus", dsigma_scale=-0.1)
+        cfg = replace(
+            cfg,
+            variants=(plus, minus),
+            sweep=replace(cfg.sweep, d_values=(1,)),
+            output=replace(cfg.output, csv=str(tmp_path / "signed.csv")),
+        )
+        conditions = run_bounds_report(cfg, grid_size=32)["conditions"]
+        for name in ("s1_score_moment", "init_var"):
+            assert (
+                conditions["minus"][name].partial_sum(100)
+                > conditions["admissible"][name].partial_sum(100)
+                > 0
+            )
+
     def test_weight_perturbation_reaches_the_conditions(self, tmp_path):
         text = BOUNDS_DWEIGHTS.replace("results/dw.csv", str(tmp_path / "dw.csv"))
         rep = run_bounds_report(parse_config_text(text), grid_size=32)
@@ -478,9 +504,7 @@ kind = bounds_report
 d_values = 1
 
 [variant shifted]
-gamma_kind = power_law
 gamma_exponent = 1.5
-cbase_kind = power_law
 cbase_exponent = 2.7
 drift = misspecified
 dweights = -0.05, 0.05
