@@ -47,7 +47,7 @@ from .bounds import (
     weight_kl,
 )
 from .conditions import ConditionRecord, ConditionReport, condition_report
-from .knn_kl import KLEstimate, KnnError, knn_distances, knn_kl
+from .knn_kl import KLEstimate, KnnError, knn_distances, knn_kl, knn_kl_multi
 
 __version__ = "0.1.0"
 
@@ -84,6 +84,7 @@ __all__ = [
     "kd_constant",
     "knn_distances",
     "knn_kl",
+    "knn_kl_multi",
     "make_schedule",
     "mean_rule_to_vector",
     "r2_mixture_bound",

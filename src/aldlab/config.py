@@ -30,6 +30,7 @@ starts a comment.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -297,6 +298,11 @@ def _validate(kind, blocks, variants, source):
         raise ConfigError(f"{source}: target weights must be a positive simplex vector")
     if len(tgt.mean_offsets) != k or len(tgt.var_scales) != k:
         raise ConfigError(f"{source}: target blocks must have one entry per component")
+    if not (tgt.var_exponent >= 0 and math.isfinite(tgt.var_exponent)):
+        raise ConfigError(f"{source}: target var_exponent must be finite and >= 0")
+    for key, values in (("var_scale", (tgt.var_scale,)), ("var_scales", tgt.var_scales)):
+        if not all(v > 0 and math.isfinite(v) for v in values):
+            raise ConfigError(f"{source}: target {key} must be finite and positive")
     samp = blocks["sampling"]
     if samp.n_chains < 1 or samp.n_target_samples < 2 or samp.repeats < 1:
         raise ConfigError(f"{source}: sampling sizes must be positive")

@@ -105,6 +105,23 @@ def test_variant_values_checked_at_parse_time(keys, message):
         parse_config_text(solo(*keys))
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("var_exponent = -1", "var_exponent must be finite and >= 0"),
+        ("var_exponent = inf", "var_exponent must be finite and >= 0"),
+        ("var_scale = 0", "var_scale must be finite and positive"),
+        ("var_scale = -2.0", "var_scale must be finite and positive"),
+        ("var_scales = 1.0, 0.0", "var_scales must be finite and positive"),
+        ("var_scales = -1.0, 2.0", "var_scales must be finite and positive"),
+    ],
+)
+def test_target_spectrum_checked_at_parse_time(line, key):
+    # each would otherwise fail only when a cell builds its target
+    with pytest.raises(ConfigError, match=f"target {key}"):
+        parse_config_text(MINIMAL + f"\n[target]\n{line}\n")
+
+
 def test_signed_perturbation_scale_parses():
     cfg = parse_config_text(solo("drift = misspecified", "dsigma_scale = -0.1", "dsigma_exponent = 3.5"))
     assert cfg.variant("solo").dsigma_scale == -0.1

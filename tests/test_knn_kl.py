@@ -1,9 +1,12 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from aldlab import KnnError, knn_distances, knn_kl
+from aldlab import KnnError, knn_distances, knn_kl, knn_kl_multi
+
+knn_module = importlib.import_module("aldlab.knn_kl")  # the package name knn_kl is the function
 
 
 def quadratic_scan_knn(points, queries, k, exclude_self=False):
@@ -61,6 +64,100 @@ class TestKnnDistances:
         with pytest.raises(KnnError):
             knn_distances(pts, pts, 5, exclude_self=True)
         knn_distances(pts, pts, 5)  # without exclusion 5 neighbors exist
+
+
+@pytest.fixture
+def rescanned(monkeypatch):
+    """Query rows that the search rescans in full because the screen could not prove them."""
+    rows = []
+    full_scan = knn_module._full_scan
+
+    def spy(pts, qry, scan_rows, *args):
+        rows.extend(int(r) for r in scan_rows)
+        return full_scan(pts, qry, scan_rows, *args)
+
+    monkeypatch.setattr(knn_module, "_full_scan", spy)
+    return rows
+
+
+class TestScreenedSearchExact:
+    """The GEMM screen and its explicit re-rank give the oracle's floats bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 8, 65])
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_matches_oracle(self, rng, rescanned, d, exclude_self):
+        pts = rng.normal(size=(60, d))
+        qry = pts if exclude_self else rng.normal(size=(25, d))
+        usable = 59 if exclude_self else 60
+        for k in (1, 5, 40):
+            np.testing.assert_array_equal(
+                knn_distances(pts, qry, k, exclude_self), quadratic_scan_knn(pts, qry, k, exclude_self)
+            )
+        assert rescanned == []  # well-separated distances: the screen proves every row
+        # k = usable leaves nothing to screen away: every row is a full scan
+        np.testing.assert_array_equal(
+            knn_distances(pts, qry, usable, exclude_self), quadratic_scan_knn(pts, qry, usable, exclude_self)
+        )
+        assert rescanned == list(range(len(qry)))
+
+    def test_ties_at_the_cut_fall_back(self, rescanned):
+        pts = np.array([[1.0]] * 40 + [[-1.0]] * 40 + [[3.0]] * 20)
+        qry = np.array([[0.0], [2.9]])
+        out = knn_distances(pts, qry, 5)
+        np.testing.assert_array_equal(out, quadratic_scan_knn(pts, qry, 5))
+        assert rescanned == [0]  # 80 points tie at distance 1 across the candidate cut
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_large_offset_falls_back(self, rng, rescanned, exclude_self):
+        # |x|^2 ~ 1e13 swamps squared distances ~ 1e-5: the screen cancels
+        # catastrophically and can prove nothing
+        pts = 1e6 + 1e-3 * rng.normal(size=(50, 4))
+        qry = pts if exclude_self else 1e6 + 1e-3 * rng.normal(size=(20, 4))
+        out = knn_distances(pts, qry, 3, exclude_self)
+        np.testing.assert_array_equal(out, quadratic_scan_knn(pts, qry, 3, exclude_self))
+        assert rescanned == list(range(len(qry)))
+
+    def test_duplicates_counted_as_clamped(self, rng):
+        X = rng.normal(size=(40, 3))
+        P = np.vstack([X, X[:10]])
+        Q = np.vstack([X[:30], rng.normal(size=(30, 3))])
+        for k in (1, 2):
+            rho = quadratic_scan_knn(P, P, k, exclude_self=True)
+            nu = quadratic_scan_knn(Q, P, k)
+            np.testing.assert_array_equal(knn_distances(P, P, k, exclude_self=True), rho)
+            np.testing.assert_array_equal(knn_distances(Q, P, k), nu)
+            expected = int(np.sum(rho[:, -1] < 1e-12)) + int(np.sum(nu[:, -1] < 1e-12))
+            assert knn_kl(P, Q, k).clamped_pairs == expected
+        # rho: X[:10] and its copies; nu: every P row that is a row of X[:30]
+        assert knn_kl(P, Q, 1).clamped_pairs == 20 + 40
+
+    def test_block_size_does_not_matter(self, rng, monkeypatch):
+        pts = rng.normal(size=(70, 6))
+        pts[:5] = 1e6  # a tied, far cluster for the rescan path
+        expected = quadratic_scan_knn(pts, pts, 4, exclude_self=True)
+        monkeypatch.setattr(knn_module, "_CHUNK_ELEMS", 1)  # one query row per block
+        np.testing.assert_array_equal(knn_distances(pts, pts, 4, exclude_self=True), expected)
+
+
+class TestKnnKlMulti:
+    def test_equals_per_k_calls(self, rng):
+        P = rng.normal(size=(300, 5))
+        Q = np.vstack([P[:100], rng.normal(size=(200, 5)) + 0.2])
+        multi = knn_kl_multi(P, Q, (20, 50, 80))
+        assert [e.k for e in multi] == [20, 50, 80]
+        for est in multi:
+            single = knn_kl(P, Q, est.k)
+            assert est.value == single.value
+            assert est.clamped_pairs == single.clamped_pairs
+            assert est == single
+
+    @pytest.mark.parametrize("ks", [(5, 50), (0, 5), (5, 31), ()], ids=["k_eq_n", "zero", "k_above_m", "empty"])
+    def test_invalid_k_rejected_before_any_search(self, rng, monkeypatch, ks):
+        searches = []
+        monkeypatch.setattr(knn_module, "knn_distances", lambda *a, **kw: searches.append(a))
+        with pytest.raises(KnnError):
+            knn_kl_multi(rng.normal(size=(50, 2)), rng.normal(size=(30, 2)), ks)
+        assert searches == []
 
 
 class TestKnnKl:
