@@ -4,8 +4,18 @@ Everything here is an exact formula evaluation: the horizon constant and its
 induced time horizon, the initialization KL bound, the component-score and
 responsibility bounds on the score-error energy, and the likelihood-ratio /
 tilted-Gaussian moments they are built from. Diverging quantities come back
-as ``float('inf')`` (an in-band result, not an error), so reports can
-tabulate divergence. Products with many factors accumulate in log space.
+as ``float('inf')`` (an in-band result, not an error, a NaN or a warning), so
+reports can tabulate divergence. Products with many factors accumulate in log
+space.
+
+The bounds that depend on the annealing fraction ``kappa`` are evaluated by
+one grid kernel: each moment helper takes annealed variances of shape
+``(G, K, d)`` (G fractions, K components, d coordinates), works elementwise
+and reduces over d and K, so a whole grid of fractions is a few array
+operations. ``error_budget`` runs the kernel over its trapezoid grid in blocks
+of at most ``_GRID_ELEMS // (K * K * d)`` fractions, which caps the size of
+the temporaries; the scalar entry points (``bcomp_bound``, ``bresp_upper``,
+``tilted_score_fourth_bound``, ...) are the same helpers at a single fraction.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WEIGHT_TOL = 1e-12
+_GRID_ELEMS = 2**14  # cap on the elements of one block's (G, K, K, d) array in the grid kernel
 
 
 class BoundsError(ValueError):
@@ -93,20 +104,33 @@ class BoundInputs:
     def dim(self) -> int:
         return self.sigma.shape[1]
 
+    def _annealed(self, kappas) -> tuple[np.ndarray, np.ndarray]:
+        """Annealed variances ``(v, v_tilde)`` at each fraction in ``kappas``, shape (G, K, d).
+
+        ``v = sigma + kappa * lambda`` and ``v_tilde = sigma + dsigma + kappa * lambda``;
+        the fractions are not range-checked here.
+        """
+        smooth = np.asarray(kappas, dtype=float)[:, None, None] * self.lambdas
+        return self.sigma + smooth, self.sigma + self.dsigma + smooth
+
+    def _at_kappa(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._annealed((self.kappa,))
+
     @property
     def v(self) -> np.ndarray:
         """Annealed variances sigma + kappa * lambda, shape (K, d)."""
-        return self.sigma + self.kappa * self.lambdas[None, :]
+        return self._at_kappa()[0][0]
 
     @property
     def v_tilde(self) -> np.ndarray:
         """Perturbed annealed variances, shape (K, d)."""
-        return self.sigma + self.dsigma + self.kappa * self.lambdas[None, :]
+        return self._at_kappa()[1][0]
 
     @property
     def variance_ratio(self) -> np.ndarray:
         """v_tilde / v, shape (K, d)."""
-        return self.v_tilde / self.v
+        v, vt = self._at_kappa()
+        return (vt / v)[0]
 
     def with_kappa(self, kappa: float) -> "BoundInputs":
         return dataclasses.replace(self, kappa=float(kappa))
@@ -176,41 +200,131 @@ def init_kl_bound(inputs: BoundInputs) -> float:
     return total
 
 
+# -- grid kernel -------------------------------------------------------------
+#
+# Every helper below takes annealed variances ``v``/``vt`` of shape (G, K, d)
+# from ``BoundInputs._annealed`` and returns one value per fraction (G,) or per
+# fraction and component (G, K). Reductions run over the last, contiguous axis.
+
+
+def _exp_or_inf(log_value):
+    """Elementwise exp; an overflow is ``inf``, never a warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_value)
+
+
+def _bcomp(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    num = inputs.dmeans**2 + inputs.dsigma**2 / v
+    terms = inputs.gammas * num / vt**2
+    per_component = terms.sum(axis=-1)
+    outer = inputs.weights[:, None] * per_component[:, None, :]
+    return 2.0 * outer.reshape(len(per_component), -1).sum(axis=-1)
+
+
+def _log_ratio_p_moment(p: float, v, vt, dm):
+    """Elementwise log E[(phi/phi_tilde)^p] under phi_tilde; +inf where divergent."""
+    kap = vt / v
+    disc = p * kap - (p - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_m = 0.5 * p * np.log(kap) - 0.5 * np.log(disc) + p * (p - 1.0) * dm**2 / (2.0 * v * disc)
+    return np.where(disc > 0, log_m, np.inf)
+
+
+def _score_fourth(gammas, vt):
+    """Fourth moment of the preconditioned Gaussian score, reduced over the last axis."""
+    scaled = gammas / vt
+    first = scaled.sum(axis=-1)
+    return first * first + 2.0 * (scaled**2).sum(axis=-1)
+
+
+def _tilted_fourth(p: float, gammas, v, vt, dm) -> np.ndarray:
+    """Tilted fourth-moment bound per fraction and component, (G, K); inf if the tilt diverges."""
+    kap = vt / v
+    disc = p * kap - (p - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lin = gammas * (1.0 / (disc * vt) + (p * kap / disc) ** 2 * dm**2 / vt**2)
+        quad = gammas**2 * (
+            3.0 / (disc**2 * vt**2)
+            + 6.0 * p**2 * kap**2 * dm**2 / (disc**3 * vt**3)
+            + p**4 * kap**4 * dm**4 / (disc**4 * vt**4)
+        )
+        total_lin = lin.sum(axis=-1)
+        bound = total_lin * total_lin + quad.sum(axis=-1)
+    return np.where(np.all(disc > 0, axis=-1), bound, np.inf)
+
+
+def _delta1(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray, p: float) -> np.ndarray:
+    w = inputs.weights
+    wt = inputs.weights_tilde
+    dw = wt - w
+    factor = float(np.sum(dw**2 / wt**p))
+    if factor == 0.0:
+        return np.zeros(len(v))
+    means_tilde = inputs.means + inputs.dmeans
+    # gap2[l, i, h] = (m_{lh} - mt_{ih})^2
+    gap2 = (inputs.means[:, None, :] - means_tilde[None, :, :]) ** 2
+    num = v[:, :, None, :] + gap2
+    terms = inputs.gammas * num / vt[:, None, :, :] ** 2
+    weighted = (w[:, None] * wt ** (p - 2.0))[:, :, None] * terms
+    return factor * weighted.reshape(len(v), -1).sum(axis=-1)
+
+
+def _r2(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    log_prod = _log_ratio_p_moment(2.0, v, vt, inputs.dmeans).sum(axis=-1)
+    c = inputs.weights / inputs.weights_tilde
+    return (inputs.weights_tilde * c**2 * _exp_or_inf(log_prod)).sum(axis=-1)
+
+
+def _bresp(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray):
+    """Envelope, weight term, density term and band flag of the responsibility bound, each (G,)."""
+    ratio = vt / v
+    band_ok = np.all((ratio > 7.0 / 8.0) & (ratio < 9.0 / 8.0), axis=(1, 2))
+    b_w = _delta1(inputs, v, vt, 3.0)
+    r2 = _r2(inputs, v, vt)
+    gam = inputs.gammas
+    dm = inputs.dmeans
+    c = inputs.weights / inputs.weights_tilde
+    with np.errstate(invalid="ignore", over="ignore"):
+        part = _score_fourth(gam, vt)
+        for p in (8.0, -8.0):
+            moment = _exp_or_inf(_log_ratio_p_moment(p, v, vt, dm).sum(axis=-1))
+            part = part + moment * _tilted_fourth(p, gam, v, vt, dm)
+        main = (inputs.weights_tilde * c**4 * part).sum(axis=-1) * LOG_POINTWISE_CONSTANT
+        main = np.where(np.isinf(r2) | ~band_ok, np.inf, main)
+        b_phi = np.where(np.isinf(r2) | np.isinf(main), np.inf, np.sqrt(r2 * main))
+    envelope = 6.0 * (b_w + b_phi)  # 3 (B_w + B_phi + B_mix) with B_mix = B_w + B_phi
+    return envelope, b_w, b_phi, band_ok
+
+
+def _budget_grid(inputs: BoundInputs, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Component bound, responsibility bound and its envelope at every fraction in ``kappas``.
+
+    The fractions are evaluated in blocks whose largest temporary holds at
+    most ``_GRID_ELEMS`` elements.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    k, d = inputs.sigma.shape
+    comp = np.empty(len(kappas))
+    env = np.empty(len(kappas))
+    step = max(1, _GRID_ELEMS // (k * k * d))
+    for start in range(0, len(kappas), step):
+        block = slice(start, start + step)
+        v, vt = inputs._annealed(kappas[block])
+        comp[block] = _bcomp(inputs, v, vt)
+        env[block] = _bresp(inputs, v, vt)[0]
+    resp = np.zeros(len(kappas)) if inputs.is_zero_perturbation() else env
+    return comp, resp, env
+
+
 # -- component-score bound -------------------------------------------------
 
 
 def bcomp_bound(inputs: BoundInputs) -> float:
     """Bound on the component-score mismatch energy at one annealing fraction."""
-    v = inputs.v
-    vt = inputs.v_tilde
-    num = inputs.dmeans**2 + inputs.dsigma**2 / v
-    terms = inputs.gammas[None, :] * num / vt**2
-    return 2.0 * float(np.sum(inputs.weights[:, None] * terms.sum(axis=1)))
+    return float(_bcomp(inputs, *inputs._at_kappa())[0])
 
 
 # -- likelihood-ratio moments ----------------------------------------------
-
-
-def _log_ratio_p_moment(p: float, v, vt, dm):
-    """Elementwise log E[(phi/phi_tilde)^p] under phi_tilde; +inf where divergent."""
-    v = np.asarray(v, dtype=float)
-    vt = np.asarray(vt, dtype=float)
-    dm = np.asarray(dm, dtype=float)
-    kap = vt / v
-    disc = p * kap - (p - 1.0)
-    out = np.full(np.broadcast(v, vt, dm).shape, np.inf)
-    ok = disc > 0
-    if np.any(ok):
-        kap_ok = np.broadcast_to(kap, out.shape)[ok]
-        disc_ok = np.broadcast_to(disc, out.shape)[ok]
-        v_ok = np.broadcast_to(v, out.shape)[ok]
-        dm_ok = np.broadcast_to(dm, out.shape)[ok]
-        out[ok] = (
-            0.5 * p * np.log(kap_ok)
-            - 0.5 * np.log(disc_ok)
-            + p * (p - 1.0) * dm_ok**2 / (2.0 * v_ok * disc_ok)
-        )
-    return out
 
 
 def ratio_p_moment(p: float, v: float, vt: float, dm: float) -> float:
@@ -222,8 +336,8 @@ def ratio_p_moment(p: float, v: float, vt: float, dm: float) -> float:
     """
     if not (v > 0 and vt > 0):
         raise BoundsError("variances must be positive")
-    log_m = float(_log_ratio_p_moment(p, v, vt, dm))
-    return math.inf if math.isinf(log_m) else _exp_or_inf(log_m)
+    v, vt, dm = np.asarray((v, vt, dm), dtype=float)
+    return float(_exp_or_inf(_log_ratio_p_moment(p, v, vt, dm)))
 
 
 def tilted_params(p: float, m: float, mt: float, v: float, vt: float) -> tuple[float, float]:
@@ -255,8 +369,7 @@ def score_fourth_moment(gammas, vts, d: int | None = None) -> float:
         gam, vt = gam[:d], vt[:d]
     if np.any(gam <= 0) or np.any(vt <= 0):
         raise BoundsError("inputs must be positive")
-    first = float(np.sum(gam / vt))
-    return first * first + 2.0 * float(np.sum((gam / vt) ** 2))
+    return float(_score_fourth(gam, vt))
 
 
 def tilted_score_fourth_bound(p: float, inputs: BoundInputs, i: int) -> float:
@@ -265,22 +378,8 @@ def tilted_score_fourth_bound(p: float, inputs: BoundInputs, i: int) -> float:
     Expands the tilted-Gaussian parameters coordinate by coordinate; returns
     ``inf`` when the tilt is not normalizable at some coordinate.
     """
-    v = inputs.v[i]
-    vt = inputs.v_tilde[i]
-    dm = inputs.dmeans[i]
-    gam = inputs.gammas
-    kap = vt / v
-    disc = p * kap - (p - 1.0)
-    if np.any(disc <= 0):
-        return math.inf
-    lin = gam * (1.0 / (disc * vt) + (p * kap / disc) ** 2 * dm**2 / vt**2)
-    quad = gam**2 * (
-        3.0 / (disc**2 * vt**2)
-        + 6.0 * p**2 * kap**2 * dm**2 / (disc**3 * vt**3)
-        + p**4 * kap**4 * dm**4 / (disc**4 * vt**4)
-    )
-    total_lin = float(np.sum(lin))
-    return total_lin * total_lin + float(np.sum(quad))
+    v, vt = inputs._at_kappa()
+    return float(_tilted_fourth(p, inputs.gammas, v, vt, inputs.dmeans)[0, i])
 
 
 # -- responsibility bound ----------------------------------------------------
@@ -293,21 +392,7 @@ def delta1_bound(inputs: BoundInputs, p: float = 3.0) -> float:
     preconditioner-weighted score second-moment factor, which involves the
     cross-component mean differences.
     """
-    w = inputs.weights
-    wt = inputs.weights_tilde
-    dw = wt - w
-    factor = float(np.sum(dw**2 / wt**p))
-    if factor == 0.0:
-        return 0.0
-    v = inputs.v
-    vt = inputs.v_tilde
-    means_tilde = inputs.means + inputs.dmeans
-    # gap2[l, i, h] = (m_{lh} - mt_{ih})^2
-    gap2 = (inputs.means[:, None, :] - means_tilde[None, :, :]) ** 2
-    num = v[:, None, :] + gap2
-    terms = inputs.gammas[None, None, :] * num / vt[None, :, :] ** 2
-    c1 = float(np.einsum("l,i,lih->", w, wt ** (p - 2.0), terms))
-    return factor * c1
+    return float(_delta1(inputs, *inputs._at_kappa(), p)[0])
 
 
 def r2_mixture_bound(inputs: BoundInputs) -> float:
@@ -317,15 +402,7 @@ def r2_mixture_bound(inputs: BoundInputs) -> float:
     ``a_kj``; the product is accumulated in log space and any divergent factor
     makes the whole bound ``inf``.
     """
-    log_a = _log_ratio_p_moment(2.0, inputs.v, inputs.v_tilde, inputs.dmeans)
-    log_prod = log_a.sum(axis=1)
-    c = inputs.weights / inputs.weights_tilde
-    total = 0.0
-    for k in range(inputs.n_components):
-        if math.isinf(log_prod[k]):
-            return math.inf
-        total += float(inputs.weights_tilde[k]) * float(c[k]) ** 2 * _exp_or_inf(float(log_prod[k]))
-    return total
+    return float(_r2(inputs, *inputs._at_kappa())[0])
 
 
 @dataclass(frozen=True)
@@ -348,13 +425,6 @@ class BrespBound:
 LOG_POINTWISE_CONSTANT = 48.0  # |log r|^4 (r^4 + r^-4) <= 48 (1 + r^8 + r^-8)
 
 
-def _exp_or_inf(log_value: float) -> float:
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
-
-
 def bresp_upper(inputs: BoundInputs) -> BrespBound:
     """Bound on the responsibility-mismatch energy at one annealing fraction.
 
@@ -363,34 +433,14 @@ def bresp_upper(inputs: BoundInputs) -> BrespBound:
     tilted fourth moments at powers +-8), and a mixed term fixed to their
     sum. Finite only when every variance ratio stays inside (7/8, 9/8).
     """
-    ratio = inputs.variance_ratio
-    band_ok = bool(np.all(ratio > 7.0 / 8.0) and np.all(ratio < 9.0 / 8.0))
-    b_w = delta1_bound(inputs, p=3.0)
-
-    r2 = r2_mixture_bound(inputs)
-    if math.isinf(r2) or not band_ok:
-        main = math.inf
-    else:
-        c = inputs.weights / inputs.weights_tilde
-        main = 0.0
-        for i in range(inputs.n_components):
-            t0 = score_fourth_moment(inputs.gammas, inputs.v_tilde[i])
-            m_plus = _log_ratio_p_moment(8.0, inputs.v[i], inputs.v_tilde[i], inputs.dmeans[i]).sum()
-            m_minus = _log_ratio_p_moment(-8.0, inputs.v[i], inputs.v_tilde[i], inputs.dmeans[i]).sum()
-            t_plus = tilted_score_fourth_bound(8.0, inputs, i)
-            t_minus = tilted_score_fourth_bound(-8.0, inputs, i)
-            part = t0 + _exp_or_inf(float(m_plus)) * t_plus + _exp_or_inf(float(m_minus)) * t_minus
-            main += float(inputs.weights_tilde[i]) * float(c[i]) ** 4 * part
-        main *= LOG_POINTWISE_CONSTANT
-    b_phi = math.sqrt(r2 * main) if not (math.isinf(r2) or math.isinf(main)) else math.inf
-    envelope = 6.0 * (b_w + b_phi)  # 3 (B_w + B_phi + B_mix) with B_mix = B_w + B_phi
+    envelope, b_w, b_phi, band_ok = (float(x[0]) for x in _bresp(inputs, *inputs._at_kappa()))
     exact_zero = inputs.is_zero_perturbation()
     return BrespBound(
         value=0.0 if exact_zero else envelope,
         envelope=envelope,
         weight_term=b_w,
         phi_term=b_phi,
-        band_ok=band_ok,
+        band_ok=bool(band_ok),
         exact_zero=exact_zero,
     )
 
@@ -435,15 +485,7 @@ def error_budget(
     e_init = init_kl_bound(base_init)
 
     kappas = np.linspace(0.0, 1.0, grid_size)
-    comp_vals = np.empty(grid_size)
-    resp_vals = np.empty(grid_size)
-    resp_env = np.empty(grid_size)
-    for idx, kap in enumerate(kappas):
-        at = inputs.with_kappa(float(kap))
-        comp_vals[idx] = bcomp_bound(at)
-        b = bresp_upper(at)
-        resp_vals[idx] = b.value
-        resp_env[idx] = b.envelope
+    comp_vals, resp_vals, resp_env = _budget_grid(inputs, kappas)
     # dt = T dkappa under the linear schedule
     e_comp = t_horizon * float(np.trapezoid(comp_vals, kappas))
     e_resp = t_horizon * float(np.trapezoid(resp_vals, kappas))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from aldlab import (
     tilted_score_fourth_bound,
     weight_kl,
 )
+from aldlab import bounds
 
 
 def simple_inputs(**kw):
@@ -498,6 +500,106 @@ class TestErrorBudget:
         )
         budget = error_budget(score_in, 5.0, grid_size=32, init_inputs=init_in)
         assert budget.e_init == pytest.approx(weight_kl(w, wt))
+
+
+class TestGridKernel:
+    """``_budget_grid`` evaluates every fraction at once; each row is the single-fraction call."""
+
+    def _weight_perturbed(self, rng):
+        inp = random_perturbed_inputs(rng, d=4, k=3, kappa=1.0)
+        wt = 0.8 * inp.weights + 0.2 * np.roll(inp.weights, 1)
+        return BoundInputs(
+            weights=inp.weights, weights_tilde=wt / wt.sum(), sigma=inp.sigma, dsigma=inp.dsigma,
+            dmeans=inp.dmeans, lambdas=inp.lambdas, gammas=inp.gammas, means=inp.means,
+        )
+
+    @pytest.mark.parametrize("elems", [1, 100, bounds._GRID_ELEMS])
+    def test_rows_equal_single_fraction_calls(self, rng, monkeypatch, elems):
+        inp = self._weight_perturbed(rng)
+        kappas = np.linspace(0.0, 1.0, 37)
+        monkeypatch.setattr(bounds, "_GRID_ELEMS", elems)  # one fraction, several, all per block
+        comp, resp, env = bounds._budget_grid(inp, kappas)
+        for g, kap in enumerate(kappas):
+            at = inp.with_kappa(kap)
+            b = bresp_upper(at)
+            assert b.weight_term > 0.0 and math.isfinite(b.envelope)
+            assert comp[g] == bcomp_bound(at)
+            assert resp[g] == b.value
+            assert env[g] == b.envelope
+
+    def test_band_edge_gives_inf_exactly_out_of_band(self):
+        # ratio (1.2 + kappa) / (1 + kappa) falls through 9/8 at kappa = 0.6
+        inp = simple_inputs(sigma=[[1.0, 2.0]], dsigma=[[0.2, 0.1]], dmeans=[[0.0, 0.1]],
+                            lambdas=[1.0, 0.5], gammas=[1.0, 0.5])
+        kappas = np.linspace(0.0, 1.0, 101)
+        sig, dsig, lam = inp.sigma[0], inp.dsigma[0], inp.lambdas
+        ratio = np.array([(sig + dsig + k * lam) / (sig + k * lam) for k in kappas])
+        in_band = np.all((ratio > 7.0 / 8.0) & (ratio < 9.0 / 8.0), axis=1)
+        assert in_band.any() and not in_band.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comp, resp, env = bounds._budget_grid(inp, kappas)
+        np.testing.assert_array_equal(np.isinf(env), ~in_band)
+        np.testing.assert_array_equal(resp, env)
+        assert np.all(np.isfinite(comp))
+        for kap, ok in zip(kappas, in_band):
+            assert bresp_upper(inp.with_kappa(kap)).band_ok == ok
+
+    def test_overflowing_exp_is_inf_not_nan(self):
+        # in band, but the p = 8 log moment is 8 * 7 * 100 / 2 = 2800: exp overflows
+        inp = simple_inputs(dmeans=[[10.0]], kappa=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isinf(ratio_p_moment(8.0, 1.0, 1.0, 10.0))
+            comp, resp, env = bounds._budget_grid(inp, np.linspace(0.0, 1.0, 9))
+            b = bresp_upper(inp)
+            budget = error_budget(inp, 1.0, grid_size=9)
+        assert b.band_ok and math.isfinite(r2_mixture_bound(inp))
+        assert math.isinf(b.phi_term) and math.isinf(b.envelope)
+        assert np.all(np.isinf(env)) and not np.any(np.isnan(env))
+        assert np.all(np.isfinite(comp))
+        assert math.isinf(budget.e_score_resp) and math.isfinite(budget.e_score_comp)
+
+
+class TestSingleGaussianBudget:
+    """K = 1 with only a mean shift: the component-score line has a closed-form integral."""
+
+    def test_bcomp_integral_matches_closed_form_at_d65(self):
+        # fig2 green spectra, first component: sigma_j = 1.2 j^-1.25, lambda_j = 40 j^-2.7, gamma_j = j^-1.5
+        d, t_horizon, grid = 65, 7.0, 512
+        js = np.arange(1, d + 1, dtype=float)
+        sig = 1.2 * js**-1.25
+        lam = 40.0 * js**-2.7
+        gam = js**-1.5
+        dm = 0.3 * js**-0.5
+        inp = BoundInputs(weights=[1.0], weights_tilde=[1.0], sigma=[sig], dsigma=np.zeros((1, d)),
+                          dmeans=[dm], lambdas=lam, gammas=gam)
+        budget = error_budget(inp, t_horizon, grid_size=grid)
+        # bcomp(kappa) = 2 sum_j gamma_j dm_j^2 / (sigma_j + kappa lambda_j)^2
+        exact = 2.0 * float(np.sum(gam * dm**2 / (sig * (sig + lam))))
+        # trapezoid error: h^2/12 (f'(1) - f'(0)) + O(h^4); f is convex, so the rule overshoots
+        h = 1.0 / (grid - 1)
+
+        def fprime(kap):
+            return float(np.sum(-4.0 * gam * dm**2 * lam / (sig + kap * lam) ** 3))
+
+        correction = h * h / 12.0 * (fprime(1.0) - fprime(0.0))
+        got = budget.e_score_comp / t_horizon
+        assert got > exact
+        assert got - exact == pytest.approx(correction, rel=1e-3)
+        assert got == pytest.approx(exact, rel=1e-3)
+
+    def test_single_component_runs_through_error_budget(self):
+        d = 5
+        js = np.arange(1, d + 1, dtype=float)
+        inp = BoundInputs(weights=[1.0], weights_tilde=[1.0], sigma=[js**-1.0],
+                          dsigma=[0.02 * js**-1.0], dmeans=[0.1 * js**-1.0],
+                          lambdas=2.0 * js**-2.0, gammas=js**-1.5)
+        budget = error_budget(inp, 3.0, grid_size=64)
+        for line in (budget.e_init, budget.e_score_comp, budget.e_score_resp, budget.e_bias):
+            assert math.isfinite(line) and line > 0.0
+        assert budget.e_init == pytest.approx(component_init_kl(inp, 0))
+        assert budget.e_score_resp == budget.e_score_resp_envelope
 
 
 class TestBoundInputsValidation:

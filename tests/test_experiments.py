@@ -440,6 +440,16 @@ class TestBoundsReport:
         text = open(rep["txt"]).read()
         assert "variant green" in text and "suff_kd" in text
 
+    @pytest.mark.parametrize("name", ["bounds", "fig3"])
+    def test_report_bytes_match_golden(self, tmp_path, name):
+        cfg = load_config(f"configs/{name}.cfg")
+        cfg = replace(cfg, output=replace(cfg.output, csv=str(tmp_path / f"{name}.csv")))
+        rep = run_bounds_report(cfg)
+        for path in (rep["csv"], rep["txt"]):
+            golden = os.path.join(os.path.dirname(__file__), "golden", os.path.basename(path))
+            with open(path, "rb") as got, open(golden, "rb") as want:
+                assert got.read() == want.read(), os.path.basename(path)
+
     def test_fig3_perturbation_and_init_law_reach_the_bounds(self, tmp_path, monkeypatch):
         cfg = load_config("configs/fig3.cfg")
         cfg = replace(
