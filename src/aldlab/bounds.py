@@ -216,9 +216,7 @@ def _exp_or_inf(log_value):
 def _bcomp(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray) -> np.ndarray:
     num = inputs.dmeans**2 + inputs.dsigma**2 / v
     terms = inputs.gammas * num / vt**2
-    per_component = terms.sum(axis=-1)
-    outer = inputs.weights[:, None] * per_component[:, None, :]
-    return 2.0 * outer.reshape(len(per_component), -1).sum(axis=-1)
+    return 2.0 * (inputs.weights * terms.sum(axis=-1)).sum(axis=-1)
 
 
 def _log_ratio_p_moment(p: float, v, vt, dm):
@@ -320,7 +318,14 @@ def _budget_grid(inputs: BoundInputs, kappas) -> tuple[np.ndarray, np.ndarray, n
 
 
 def bcomp_bound(inputs: BoundInputs) -> float:
-    """Bound on the component-score mismatch energy at one annealing fraction."""
+    """Bound on the component-score mismatch energy at one annealing fraction.
+
+    With ``D_i = Gamma^{1/2} (S~_i - S_i)`` and responsibilities ``p_i``,
+    Jensen gives ``E_rho ||sum_i p_i D_i||^2 <= sum_i E_rho p_i ||D_i||^2
+    = sum_i w_i T_i``, where ``T_i = E_{phi_i} ||D_i||^2
+    = sum_j gamma_j (dm_ij^2 + dsigma_ij^2 / v_ij) / vt_ij^2``;
+    the bound is ``2 sum_i w_i T_i``.
+    """
     return float(_bcomp(inputs, *inputs._at_kappa())[0])
 
 

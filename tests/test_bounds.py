@@ -197,6 +197,13 @@ class TestBcompBound:
         inp = simple_inputs(dmeans=[[1.0]], kappa=0.0)
         assert bcomp_bound(inp) == pytest.approx(2.0)
 
+    def test_components_enter_by_weight(self):
+        # a unit mean shift on the 0.9 component only: 2 * 0.9 * 1
+        inp = BoundInputs(weights=[0.9, 0.1], weights_tilde=[0.9, 0.1], sigma=[[1.0], [1.0]],
+                          dsigma=[[0.0], [0.0]], dmeans=[[1.0], [0.0]], lambdas=[1.0],
+                          gammas=[1.0], kappa=0.0)
+        assert bcomp_bound(inp) == pytest.approx(1.8)
+
     def test_monte_carlo_dominance(self, rng):
         # LHS: E_rho || Gamma^{1/2} sum_i p_i (S~_i - S_i) ||^2
         for trial in range(3):
