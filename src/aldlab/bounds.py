@@ -21,7 +21,6 @@ the temporaries; the scalar entry points (``bcomp_bound``, ``bresp_upper``,
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,14 +437,14 @@ def bresp_upper(inputs: BoundInputs) -> BrespBound:
     tilted fourth moments at powers +-8), and a mixed term fixed to their
     sum. Finite only when every variance ratio stays inside (7/8, 9/8).
     """
-    envelope, b_w, b_phi, band_ok = (float(x[0]) for x in _bresp(inputs, *inputs._at_kappa()))
+    envelope, b_w, b_phi, band_ok = (x.item() for x in _bresp(inputs, *inputs._at_kappa()))
     exact_zero = inputs.is_zero_perturbation()
     return BrespBound(
         value=0.0 if exact_zero else envelope,
         envelope=envelope,
         weight_term=b_w,
         phi_term=b_phi,
-        band_ok=bool(band_ok),
+        band_ok=band_ok,
         exact_zero=exact_zero,
     )
 
