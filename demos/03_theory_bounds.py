@@ -14,7 +14,6 @@ from aldlab import (
     condition_report,
     error_budget,
     horizon,
-    init_kl_bound,
     kd_constant,
     ratio_p_moment,
     score_fourth_moment,
@@ -54,9 +53,9 @@ print("score fourth moment, gammas=(1,1), vts=(1,2):", score_fourth_moment([1, 1
 print("E[r^2] beyond the validity band (vt = v/2):", ratio_p_moment(2, 1.0, 0.5, 0.0))
 
 # A perturbed instance: per-fraction bounds and the integrated budget.
-inp = inputs_for(6, 1.5, 2.7, dsigma_scale=0.05).with_kappa(0.5)
-print("\nB_comp at fraction 0.5:", round(bcomp_bound(inp), 6))
-resp = bresp_upper(inp)
+inp = inputs_for(6, 1.5, 2.7, dsigma_scale=0.05)
+print("\nB_comp at fraction 0.5:", round(bcomp_bound(inp, 0.5), 6))
+resp = bresp_upper(inp, 0.5)
 print(f"B_resp envelope: {resp.envelope:.4f} (band ok: {resp.band_ok})")
 budget = error_budget(inp, t_horizon=179.991, grid_size=128)
 print("budget lines: init", round(budget.e_init, 6),

@@ -22,7 +22,6 @@ from .engine import (
     ChainBatch,
     ChainDivergenceError,
     EngineError,
-    config_digest,
     make_schedule,
     run_chains,
 )
@@ -34,16 +33,13 @@ from .bounds import (
     bcomp_bound,
     bresp_upper,
     component_init_kl,
-    delta1_bound,
     error_budget,
     horizon,
     init_kl_bound,
     kd_constant,
-    r2_mixture_bound,
     ratio_p_moment,
     score_fourth_moment,
     tilted_params,
-    tilted_score_fourth_bound,
     weight_kl,
 )
 from .conditions import ConditionRecord, ConditionReport, condition_report
@@ -76,8 +72,6 @@ __all__ = [
     "build_truncated_mixture",
     "component_init_kl",
     "condition_report",
-    "config_digest",
-    "delta1_bound",
     "error_budget",
     "horizon",
     "init_kl_bound",
@@ -87,12 +81,10 @@ __all__ = [
     "knn_kl_multi",
     "make_schedule",
     "mean_rule_to_vector",
-    "r2_mixture_bound",
     "ratio_p_moment",
     "run_chains",
     "score_fourth_moment",
     "smooth",
     "tilted_params",
-    "tilted_score_fourth_bound",
     "weight_kl",
 ]

@@ -8,19 +8,21 @@ as ``float('inf')`` (an in-band result, not an error, a NaN or a warning), so
 reports can tabulate divergence. Products with many factors accumulate in log
 space.
 
-The bounds that depend on the annealing fraction ``kappa`` are evaluated by
-one grid kernel: each moment helper takes annealed variances of shape
-``(G, K, d)`` (G fractions, K components, d coordinates), works elementwise
-and reduces over d and K, so a whole grid of fractions is a few array
-operations. ``error_budget`` runs the kernel over its trapezoid grid in blocks
-of at most ``_GRID_ELEMS // (K * K * d)`` fractions, which caps the size of
-the temporaries; the scalar entry points (``bcomp_bound``, ``bresp_upper``,
-``tilted_score_fourth_bound``, ...) are the same helpers at a single fraction.
+The bounds are functions of the annealing fraction ``kappa``, which is an
+argument, not a field of ``BoundInputs``. They are evaluated by one grid
+kernel: each moment helper takes annealed variances of shape ``(G, K, d)``
+(G fractions, K components, d coordinates), works elementwise and reduces
+over d and K, so a whole grid of fractions is a few array operations.
+``error_budget`` runs the kernel over its trapezoid grid in blocks of at most
+``_GRID_ELEMS // (K * K * d)`` fractions, which caps the size of the
+temporaries. The single-fraction entry points ``bcomp_bound(inputs, kappa)``
+and ``bresp_upper(inputs, kappa)`` are the same helpers at G = 1; the
+initialization bounds ``component_init_kl`` and ``init_kl_bound`` sit at
+fraction 1.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ class BoundsError(ValueError):
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Perturbed-mixture data at one annealing fraction ``kappa``.
+    """Perturbed-mixture data along the annealing path.
 
     ``sigma`` holds the unperturbed per-component variance sequences,
     ``dsigma``/``dmeans`` the diagonal perturbations, ``lambdas`` the
@@ -53,7 +55,6 @@ class BoundInputs:
     dmeans: np.ndarray
     lambdas: np.ndarray
     gammas: np.ndarray
-    kappa: float = 1.0
     means: np.ndarray | None = None
 
     def __post_init__(self):
@@ -83,8 +84,6 @@ class BoundInputs:
             raise BoundsError(f"perturbed variance of component {i + 1}, coordinate {j + 1} is not positive")
         if np.any(lam <= 0) or np.any(gam <= 0):
             raise BoundsError("lambdas and gammas must be positive")
-        if not 0.0 <= self.kappa <= 1.0:
-            raise BoundsError(f"kappa must lie in [0, 1], got {self.kappa}")
         m = np.zeros((k, d)) if self.means is None else np.atleast_2d(np.asarray(self.means, dtype=float))
         if m.shape != (k, d):
             raise BoundsError(f"means must have shape ({k}, {d})")
@@ -111,28 +110,6 @@ class BoundInputs:
         """
         smooth = np.asarray(kappas, dtype=float)[:, None, None] * self.lambdas
         return self.sigma + smooth, self.sigma + self.dsigma + smooth
-
-    def _at_kappa(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._annealed((self.kappa,))
-
-    @property
-    def v(self) -> np.ndarray:
-        """Annealed variances sigma + kappa * lambda, shape (K, d)."""
-        return self._at_kappa()[0][0]
-
-    @property
-    def v_tilde(self) -> np.ndarray:
-        """Perturbed annealed variances, shape (K, d)."""
-        return self._at_kappa()[1][0]
-
-    @property
-    def variance_ratio(self) -> np.ndarray:
-        """v_tilde / v, shape (K, d)."""
-        v, vt = self._at_kappa()
-        return (vt / v)[0]
-
-    def with_kappa(self, kappa: float) -> "BoundInputs":
-        return dataclasses.replace(self, kappa=float(kappa))
 
     def is_zero_perturbation(self) -> bool:
         return (
@@ -176,10 +153,8 @@ def weight_kl(w, w_tilde) -> float:
 def component_init_kl(inputs: BoundInputs, i: int) -> float:
     """KL between component i's smoothed law and its perturbed counterpart.
 
-    Requires kappa = 1: the initialization sits at the fully smoothed level.
+    Evaluated at fraction 1: the initialization sits at the fully smoothed level.
     """
-    if inputs.kappa != 1.0:
-        raise BoundsError("component_init_kl is defined at kappa = 1")
     sig = inputs.sigma[i]
     dsig = inputs.dsigma[i]
     dm = inputs.dmeans[i]
@@ -235,7 +210,11 @@ def _score_fourth(gammas, vt):
 
 
 def _tilted_fourth(p: float, gammas, v, vt, dm) -> np.ndarray:
-    """Tilted fourth-moment bound per fraction and component, (G, K); inf if the tilt diverges."""
+    """Tilted fourth-moment bound on the perturbed score, per fraction and component, (G, K).
+
+    Expands the r^p-tilted Gaussian parameters (``tilted_params``) coordinate
+    by coordinate; ``inf`` where the tilt is not normalizable at some coordinate.
+    """
     kap = vt / v
     disc = p * kap - (p - 1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -251,6 +230,12 @@ def _tilted_fourth(p: float, gammas, v, vt, dm) -> np.ndarray:
 
 
 def _delta1(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray, p: float) -> np.ndarray:
+    """Weight-perturbation part of the responsibility mismatch, per fraction, (G,).
+
+    Product of the weight-mismatch factor ``sum_i (dw_i)^2 / wt_i^p`` and the
+    preconditioner-weighted score second-moment factor, which involves the
+    cross-component mean differences.
+    """
     w = inputs.weights
     wt = inputs.weights_tilde
     dw = wt - w
@@ -267,6 +252,12 @@ def _delta1(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray, p: float) -> np.
 
 
 def _r2(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Second moment of the mixture density ratio under the perturbed law, per fraction, (G,).
+
+    ``sum_k wt_k c_k^2 prod_j a_kj`` with per-coordinate second-moment factors
+    ``a_kj``; the product is accumulated in log space and any divergent factor
+    makes the value ``inf``.
+    """
     log_prod = _log_ratio_p_moment(2.0, v, vt, inputs.dmeans).sum(axis=-1)
     c = inputs.weights / inputs.weights_tilde
     return (inputs.weights_tilde * c**2 * _exp_or_inf(log_prod)).sum(axis=-1)
@@ -316,8 +307,15 @@ def _budget_grid(inputs: BoundInputs, kappas) -> tuple[np.ndarray, np.ndarray, n
 # -- component-score bound -------------------------------------------------
 
 
-def bcomp_bound(inputs: BoundInputs) -> float:
-    """Bound on the component-score mismatch energy at one annealing fraction.
+def _at_fraction(inputs: BoundInputs, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Annealed variances at the single fraction ``kappa``, each (1, K, d)."""
+    if not 0.0 <= kappa <= 1.0:
+        raise BoundsError(f"kappa must lie in [0, 1], got {kappa}")
+    return inputs._annealed((kappa,))
+
+
+def bcomp_bound(inputs: BoundInputs, kappa: float) -> float:
+    """Bound on the component-score mismatch energy at the annealing fraction ``kappa``.
 
     With ``D_i = Gamma^{1/2} (S~_i - S_i)`` and responsibilities ``p_i``,
     Jensen gives ``E_rho ||sum_i p_i D_i||^2 <= sum_i E_rho p_i ||D_i||^2
@@ -325,7 +323,7 @@ def bcomp_bound(inputs: BoundInputs) -> float:
     = sum_j gamma_j (dm_ij^2 + dsigma_ij^2 / v_ij) / vt_ij^2``;
     the bound is ``2 sum_i w_i T_i``.
     """
-    return float(_bcomp(inputs, *inputs._at_kappa())[0])
+    return float(_bcomp(inputs, *_at_fraction(inputs, kappa))[0])
 
 
 # -- likelihood-ratio moments ----------------------------------------------
@@ -376,37 +374,7 @@ def score_fourth_moment(gammas, vts, d: int | None = None) -> float:
     return float(_score_fourth(gam, vt))
 
 
-def tilted_score_fourth_bound(p: float, inputs: BoundInputs, i: int) -> float:
-    """Upper bound on the tilted fourth moment of the perturbed score of component i.
-
-    Expands the tilted-Gaussian parameters coordinate by coordinate; returns
-    ``inf`` when the tilt is not normalizable at some coordinate.
-    """
-    v, vt = inputs._at_kappa()
-    return float(_tilted_fourth(p, inputs.gammas, v, vt, inputs.dmeans)[0, i])
-
-
 # -- responsibility bound ----------------------------------------------------
-
-
-def delta1_bound(inputs: BoundInputs, p: float = 3.0) -> float:
-    """Bound on the weight-perturbation part of the responsibility mismatch.
-
-    Product of the weight-mismatch factor ``sum_i (dw_i)^2 / wt_i^p`` and the
-    preconditioner-weighted score second-moment factor, which involves the
-    cross-component mean differences.
-    """
-    return float(_delta1(inputs, *inputs._at_kappa(), p)[0])
-
-
-def r2_mixture_bound(inputs: BoundInputs) -> float:
-    """Bound on the second moment of the mixture density ratio under the perturbed law.
-
-    ``sum_k wt_k c_k^2 prod_j a_kj`` with per-coordinate second-moment factors
-    ``a_kj``; the product is accumulated in log space and any divergent factor
-    makes the whole bound ``inf``.
-    """
-    return float(_r2(inputs, *inputs._at_kappa())[0])
 
 
 @dataclass(frozen=True)
@@ -429,15 +397,15 @@ class BrespBound:
 LOG_POINTWISE_CONSTANT = 48.0  # |log r|^4 (r^4 + r^-4) <= 48 (1 + r^8 + r^-8)
 
 
-def bresp_upper(inputs: BoundInputs) -> BrespBound:
-    """Bound on the responsibility-mismatch energy at one annealing fraction.
+def bresp_upper(inputs: BoundInputs, kappa: float) -> BrespBound:
+    """Bound on the responsibility-mismatch energy at the annealing fraction ``kappa``.
 
     Collects three pieces: the weight term, the component-density term (via
     the density-ratio second moment, the pointwise 48-constant envelope, and
     tilted fourth moments at powers +-8), and a mixed term fixed to their
     sum. Finite only when every variance ratio stays inside (7/8, 9/8).
     """
-    envelope, b_w, b_phi, band_ok = (x.item() for x in _bresp(inputs, *inputs._at_kappa()))
+    envelope, b_w, b_phi, band_ok = (x.item() for x in _bresp(inputs, *_at_fraction(inputs, kappa)))
     exact_zero = inputs.is_zero_perturbation()
     return BrespBound(
         value=0.0 if exact_zero else envelope,
@@ -479,14 +447,13 @@ def error_budget(
     annealing fraction, mapped to time by ``t = T (1 - kappa)``. The
     initialization side may differ from the score side (e.g. a weight-only
     initialization mismatch next to a covariance-only score error); pass it
-    via ``init_inputs``, which defaults to ``inputs`` at fraction 1.
+    via ``init_inputs``, which defaults to ``inputs``.
     """
     if not t_horizon > 0:
         raise BoundsError(f"t_horizon must be positive, got {t_horizon}")
     if grid_size < 2:
         raise BoundsError(f"grid_size must be >= 2, got {grid_size}")
-    base_init = (init_inputs if init_inputs is not None else inputs).with_kappa(1.0)
-    e_init = init_kl_bound(base_init)
+    e_init = init_kl_bound(init_inputs if init_inputs is not None else inputs)
 
     kappas = np.linspace(0.0, 1.0, grid_size)
     comp_vals, resp_vals, resp_env = _budget_grid(inputs, kappas)

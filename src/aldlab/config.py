@@ -308,6 +308,12 @@ def _validate(kind, blocks, variants, source):
         raise ConfigError(f"{source}: sampling sizes must be positive")
     if any(kk < 1 for kk in samp.k_values) or not samp.k_values:
         raise ConfigError(f"{source}: k values must be positive")
+    # the estimator's P sample is the target draw (k < n) and its Q sample the chains (k <= m)
+    if any(kk >= samp.n_target_samples or kk > samp.n_chains for kk in samp.k_values):
+        raise ConfigError(
+            f"{source}: k_values {', '.join(map(str, samp.k_values))} must each be below "
+            f"n_target_samples = {samp.n_target_samples} and at most n_chains = {samp.n_chains}"
+        )
     for v in variants:
         if v.drift not in ("exact", "misspecified", "ideal_corrected"):
             raise ConfigError(f"{source}: variant {v.name!r} has unknown drift {v.drift!r}")

@@ -19,7 +19,6 @@ of worker count, execution order, and the total number of chains requested.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,9 +95,10 @@ def make_schedule(n_steps: int, dt: float, s_half: float) -> AnnealSchedule:
 class ALDConfig:
     """Everything that defines one annealed Langevin run except the target.
 
-    ``drift_mode`` is "exact", "misspecified" (requires ``perturbation``) or
-    "ideal_corrected"; ``init_mode`` is "exact_smoothed" or "custom_mixture"
-    (requires ``init_mixture``, sampled as given, without smoothing).
+    ``drift_mode`` is "exact", "misspecified" (requires ``perturbation``,
+    which no other mode takes) or "ideal_corrected". Chains start from
+    ``init_mixture``, sampled as given without smoothing, when one is given,
+    and from the target smoothed to level ``theta_0`` otherwise.
     """
 
     dim: int
@@ -107,7 +107,6 @@ class ALDConfig:
     c_base: PowerLaw
     drift_mode: str = "exact"
     perturbation: MixturePerturbation | None = None
-    init_mode: str = "exact_smoothed"
     init_mixture: DiagGMM | None = None
 
     def __post_init__(self):
@@ -117,10 +116,13 @@ class ALDConfig:
             raise EngineError(f"unknown drift mode {self.drift_mode!r}")
         if self.drift_mode == "misspecified" and self.perturbation is None:
             raise EngineError("misspecified drift mode needs a perturbation")
-        if self.init_mode not in ("exact_smoothed", "custom_mixture"):
-            raise EngineError(f"unknown init mode {self.init_mode!r}")
-        if self.init_mode == "custom_mixture" and self.init_mixture is None:
-            raise EngineError("custom_mixture init mode needs an init mixture")
+        if self.drift_mode != "misspecified" and self.perturbation is not None:
+            raise EngineError(
+                f"drift mode {self.drift_mode!r} ignores a perturbation; "
+                "a perturbation needs drift_mode = 'misspecified'"
+            )
+        if self.init_mixture is not None and self.init_mixture.dim != self.dim:
+            raise EngineError(f"init mixture has dim {self.init_mixture.dim}, config dim {self.dim}")
         if np.any(self.gamma.eigenvalues(self.dim) <= 0) or np.any(
             self.c_base.eigenvalues(self.dim) <= 0
         ):
@@ -129,46 +131,15 @@ class ALDConfig:
 
 @dataclass(frozen=True)
 class ChainBatch:
-    """Final chain states plus the provenance needed to reproduce them."""
+    """Final chain states and the states recorded at the requested checkpoints."""
 
     samples: np.ndarray
-    seed: int
-    config_digest: str
-    steps_run: int
     checkpoints: dict = field(default_factory=dict)
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-
-
-def config_digest(config: ALDConfig, target: DiagGMM) -> str:
-    """Stable hash of the run configuration and target parameters."""
-    h = hashlib.sha256()
-    parts = [
-        f"dim={config.dim}",
-        f"n_steps={config.schedule.n_steps}",
-        f"dt={config.schedule.dt!r}",
-        f"s_half={config.schedule.s_half!r}",
-        f"gamma={config.gamma!r}",
-        f"c_base={config.c_base!r}",
-        f"drift={config.drift_mode}",
-        f"pert={config.perturbation!r}",
-        f"init={config.init_mode}",
-        f"block={BLOCK_SIZE}",
-        f"w={target.weights.tolist()!r}",
-        f"m={target.means.tolist()!r}",
-        f"v={target.variances.tolist()!r}",
-    ]
-    if config.init_mixture is not None:
-        parts += [
-            f"iw={config.init_mixture.weights.tolist()!r}",
-            f"im={config.init_mixture.means.tolist()!r}",
-            f"iv={config.init_mixture.variances.tolist()!r}",
-        ]
-    h.update("|".join(parts).encode())
-    return h.hexdigest()[:16]
 
 
 # -- chain execution ------------------------------------------------------
@@ -191,12 +162,9 @@ def _run_block(
     sched = config.schedule
     rng = _block_rng(seed, block)
 
-    if config.init_mode == "exact_smoothed":
+    init_gmm = config.init_mixture
+    if init_gmm is None:
         init_gmm = smooth(target, config.c_base, sched.theta0)
-    else:
-        init_gmm = config.init_mixture
-        if init_gmm.dim != d:
-            raise EngineError(f"init mixture has dim {init_gmm.dim}, config dim {d}")
     x = init_gmm.sample(BLOCK_SIZE, rng)
 
     drift_gmm = target
@@ -266,13 +234,7 @@ def run_chains(
         out[lo:hi] = rows
         for c, states in block_saved.items():
             saved[c][lo:hi] = states
-    return ChainBatch(
-        samples=out,
-        seed=int(seed),
-        config_digest=config_digest(config, target),
-        steps_run=config.schedule.n_steps - 1,
-        checkpoints={c: _frozen(saved[c]) for c in cps},
-    )
+    return ChainBatch(samples=out, checkpoints={c: _frozen(saved[c]) for c in cps})
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

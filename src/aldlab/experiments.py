@@ -165,11 +165,10 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
     target = build_target(cfg, d)
     pert = variant_perturbation(variant, target.n_components)
 
-    init_mode, init_mixture = "exact_smoothed", None
+    init_mixture = None
     if variant.init == "custom_weights":
         base = DiagGMM(weights=variant.init_weights, means=target.means, variances=target.variances)
         init_mixture = smooth(base, c_base, sched.theta0)
-        init_mode = "custom_mixture"
     return ALDConfig(
         dim=d,
         schedule=sched,
@@ -177,7 +176,6 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
         c_base=c_base,
         drift_mode=variant.drift,
         perturbation=pert,
-        init_mode=init_mode,
         init_mixture=init_mixture,
     )
 
@@ -523,7 +521,6 @@ def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
         sigma=target.variances,
         lambdas=ald.schedule.theta0 * ald.c_base.eigenvalues(d),
         gammas=ald.gamma.eigenvalues(d),
-        kappa=1.0,
         means=target.means,
     )
     score_inputs = BoundInputs(

@@ -11,16 +11,13 @@ from aldlab import (
     bcomp_bound,
     bresp_upper,
     component_init_kl,
-    delta1_bound,
     error_budget,
     horizon,
     init_kl_bound,
     kd_constant,
-    r2_mixture_bound,
     ratio_p_moment,
     score_fourth_moment,
     tilted_params,
-    tilted_score_fourth_bound,
     weight_kl,
 )
 from aldlab import bounds
@@ -35,13 +32,12 @@ def simple_inputs(**kw):
         dmeans=[[0.0]],
         lambdas=[1.0],
         gammas=[1.0],
-        kappa=1.0,
     )
     base.update(kw)
     return BoundInputs(**base)
 
 
-def random_perturbed_inputs(rng, d=3, k=2, band=0.08, dm_scale=0.15, kappa=0.5):
+def random_perturbed_inputs(rng, d=3, k=2, band=0.08, dm_scale=0.15):
     """Random instance whose variance ratios stay inside the +-8 moment band."""
     w = rng.uniform(0.2, 1.0, size=k)
     w = w / w.sum()
@@ -54,8 +50,14 @@ def random_perturbed_inputs(rng, d=3, k=2, band=0.08, dm_scale=0.15, kappa=0.5):
     means = rng.uniform(-1.5, 1.5, size=(k, d))
     return BoundInputs(
         weights=w, weights_tilde=w, sigma=sigma, dsigma=dsigma, dmeans=dmeans,
-        lambdas=lam, gammas=gam, kappa=kappa, means=means,
+        lambdas=lam, gammas=gam, means=means,
     )
+
+
+def annealed(inp, kappa):
+    """``(v, v_tilde)`` at one fraction, each (K, d)."""
+    v, vt = inp._annealed((kappa,))
+    return v[0], vt[0]
 
 
 class TestKdConstant:
@@ -161,9 +163,10 @@ class TestComponentInitKl:
         quad = float(np.trapezoid(integrand, xs))
         assert got == pytest.approx(quad, abs=1e-6)
 
-    def test_requires_full_smoothing_fraction(self):
-        with pytest.raises(BoundsError):
-            component_init_kl(simple_inputs(kappa=0.5), 0)
+    def test_evaluated_at_full_smoothing_fraction(self):
+        # KL(N(0, 1.5 + 2) || N(0, 1.5 + 0.5 + 2)): the smoothing enters at fraction 1
+        inp = simple_inputs(sigma=[[1.5]], dsigma=[[0.5]], lambdas=[2.0])
+        assert component_init_kl(inp, 0) == pytest.approx(0.5 * (math.log(4.0 / 3.5) - 0.5 / 4.0))
 
 
 class TestInitKlBound:
@@ -191,25 +194,25 @@ class TestInitKlBound:
 
 class TestBcompBound:
     def test_zero_perturbation(self):
-        assert bcomp_bound(simple_inputs(kappa=0.5)) == 0.0
+        assert bcomp_bound(simple_inputs(), 0.5) == 0.0
 
     def test_single_coordinate_value(self):
-        inp = simple_inputs(dmeans=[[1.0]], kappa=0.0)
-        assert bcomp_bound(inp) == pytest.approx(2.0)
+        inp = simple_inputs(dmeans=[[1.0]])
+        assert bcomp_bound(inp, 0.0) == pytest.approx(2.0)
 
     def test_components_enter_by_weight(self):
         # a unit mean shift on the 0.9 component only: 2 * 0.9 * 1
         inp = BoundInputs(weights=[0.9, 0.1], weights_tilde=[0.9, 0.1], sigma=[[1.0], [1.0]],
                           dsigma=[[0.0], [0.0]], dmeans=[[1.0], [0.0]], lambdas=[1.0],
-                          gammas=[1.0], kappa=0.0)
-        assert bcomp_bound(inp) == pytest.approx(1.8)
+                          gammas=[1.0])
+        assert bcomp_bound(inp, 0.0) == pytest.approx(1.8)
 
     def test_monte_carlo_dominance(self, rng):
         # LHS: E_rho || Gamma^{1/2} sum_i p_i (S~_i - S_i) ||^2
         for trial in range(3):
-            inp = random_perturbed_inputs(rng, d=3, k=2, kappa=0.5)
-            lhs = _mc_component_lhs(inp, rng, n=200_000)
-            assert bcomp_bound(inp) >= lhs * 0.97  # 3 sigma MC slack
+            inp = random_perturbed_inputs(rng, d=3, k=2)
+            lhs = _mc_component_lhs(inp, 0.5, rng, n=200_000)
+            assert bcomp_bound(inp, 0.5) >= lhs * 0.97  # 3 sigma MC slack
 
     def test_nonnegative_and_monotone_in_d(self, rng):
         inp = random_perturbed_inputs(rng, d=4)
@@ -217,45 +220,46 @@ class TestBcompBound:
         smaller = BoundInputs(
             weights=inp.weights, weights_tilde=inp.weights_tilde,
             sigma=inp.sigma[:, :3], dsigma=inp.dsigma[:, :3], dmeans=inp.dmeans[:, :3],
-            lambdas=inp.lambdas[:3], gammas=inp.gammas[:3], kappa=inp.kappa,
-            means=inp.means[:, :3],
+            lambdas=inp.lambdas[:3], gammas=inp.gammas[:3], means=inp.means[:, :3],
         )
-        assert 0.0 <= bcomp_bound(smaller) <= bcomp_bound(inp)
+        assert 0.0 <= bcomp_bound(smaller, 0.5) <= bcomp_bound(inp, 0.5)
 
 
-def _mixture_from_inputs(inp, perturbed):
+def _mixture_from_inputs(inp, kappa, perturbed):
     from aldlab import DiagGMM
 
     means = inp.means + (inp.dmeans if perturbed else 0.0)
-    var = (inp.v_tilde if perturbed else inp.v)
+    var = annealed(inp, kappa)[1 if perturbed else 0]
     w = inp.weights_tilde if perturbed else inp.weights
     return DiagGMM(weights=w, means=means, variances=var)
 
 
-def _mc_component_lhs(inp, rng, n=100_000):
-    rho = _mixture_from_inputs(inp, perturbed=False)
+def _mc_component_lhs(inp, kappa, rng, n=100_000):
+    v, vt = annealed(inp, kappa)
+    rho = _mixture_from_inputs(inp, kappa, perturbed=False)
     X = rho.sample(n, rng)
     p = rho.responsibilities(X)
     means_t = inp.means + inp.dmeans
     acc = np.zeros((n, inp.dim))
     for i in range(inp.n_components):
-        s_tilde = -(X - means_t[i]) / inp.v_tilde[i]
-        s = -(X - inp.means[i]) / inp.v[i]
+        s_tilde = -(X - means_t[i]) / vt[i]
+        s = -(X - inp.means[i]) / v[i]
         acc += p[:, [i]] * (s_tilde - s)
     val = np.sum(inp.gammas * acc * acc, axis=1)
     return float(np.mean(val))
 
 
-def _mc_responsibility_lhs(inp, rng, n=100_000):
-    rho = _mixture_from_inputs(inp, perturbed=False)
-    rho_t = _mixture_from_inputs(inp, perturbed=True)
+def _mc_responsibility_lhs(inp, kappa, rng, n=100_000):
+    vt = annealed(inp, kappa)[1]
+    rho = _mixture_from_inputs(inp, kappa, perturbed=False)
+    rho_t = _mixture_from_inputs(inp, kappa, perturbed=True)
     X = rho.sample(n, rng)
     p = rho.responsibilities(X)
     pt = rho_t.responsibilities(X)
     means_t = inp.means + inp.dmeans
     acc = np.zeros((n, inp.dim))
     for i in range(inp.n_components):
-        s_tilde = -(X - means_t[i]) / inp.v_tilde[i]
+        s_tilde = -(X - means_t[i]) / vt[i]
         acc += (pt[:, [i]] - p[:, [i]]) * s_tilde
     val = np.sum(inp.gammas * acc * acc, axis=1)
     return float(np.mean(val))
@@ -350,16 +354,22 @@ class TestScoreFourthMoment:
         assert abs(float(np.mean(vals)) - score_fourth_moment(gam, vt)) < 3 * se
 
 
+def tilted_fourth(p, inp, kappa, i):
+    """``bounds._tilted_fourth`` of component i at one fraction."""
+    v, vt = inp._annealed((kappa,))
+    return float(bounds._tilted_fourth(p, inp.gammas, v, vt, inp.dmeans)[0, i])
+
+
 class TestTiltedScoreFourthBound:
     def test_reduces_to_fourth_moment_plus_slack(self):
         inp = simple_inputs(sigma=[[1.0, 2.0]], dsigma=[[0.0, 0.0]], dmeans=[[0.0, 0.0]],
-                            lambdas=[1.0, 1.0], gammas=[1.0, 0.5], kappa=0.0)
-        vt = inp.v_tilde[0]
+                            lambdas=[1.0, 1.0], gammas=[1.0, 0.5])
+        vt = annealed(inp, 0.0)[1][0]
         expected = score_fourth_moment(inp.gammas, vt) + float(np.sum((inp.gammas / vt) ** 2))
-        assert tilted_score_fourth_bound(8.0, inp, 0) == pytest.approx(expected)
+        assert tilted_fourth(8.0, inp, 0.0, 0) == pytest.approx(expected)
 
     def test_one_dimensional_expansion(self):
-        inp = simple_inputs(dsigma=[[0.1]], dmeans=[[0.2]], kappa=0.0)
+        inp = simple_inputs(dsigma=[[0.1]], dmeans=[[0.2]])
         p = 2.0
         v, vt, dm, gam = 1.0, 1.1, 0.2, 1.0
         kap = vt / v
@@ -370,17 +380,16 @@ class TestTiltedScoreFourthBound:
             + 6.0 * p**2 * kap**2 * dm**2 / (disc**3 * vt**3)
             + p**4 * kap**4 * dm**4 / (disc**4 * vt**4)
         )
-        assert tilted_score_fourth_bound(p, inp, 0) == pytest.approx(lin**2 + quad)
+        assert tilted_fourth(p, inp, 0.0, 0) == pytest.approx(lin**2 + quad)
 
     def test_band_violation_flags_infinity(self):
-        inp = simple_inputs(dsigma=[[-0.2]], kappa=0.0)  # ratio 0.8 < 7/8
-        assert math.isinf(tilted_score_fourth_bound(8.0, inp, 0))
+        inp = simple_inputs(dsigma=[[-0.2]])  # ratio 0.8 < 7/8 at fraction 0
+        assert math.isinf(tilted_fourth(8.0, inp, 0.0, 0))
 
     def test_dominates_importance_weighted_moment(self, rng):
-        inp = random_perturbed_inputs(rng, d=2, k=1, band=0.05, dm_scale=0.1, kappa=0.0)
+        inp = random_perturbed_inputs(rng, d=2, k=1, band=0.05, dm_scale=0.1)
         p = 8.0
-        vt = inp.v_tilde[0]
-        v = inp.v[0]
+        v, vt = (a[0] for a in annealed(inp, 0.0))  # component 0
         dm = inp.dmeans[0]
         x = np.sqrt(vt) * rng.standard_normal((1_000_000, 2))
         log_r = (-0.5 * (x + dm) ** 2 / v + 0.5 * x**2 / vt + 0.5 * np.log(vt / v)).sum(axis=1)
@@ -388,16 +397,26 @@ class TestTiltedScoreFourthBound:
         wts /= wts.sum()
         norm2 = np.sum(inp.gammas * (x / vt) ** 2, axis=1)
         mc = float(np.sum(wts * norm2**2))
-        assert tilted_score_fourth_bound(p, inp, 0) >= 0.95 * mc
+        assert tilted_fourth(p, inp, 0.0, 0) >= 0.95 * mc
+
+
+def delta1(inp, kappa):
+    """``bounds._delta1`` at power 3 and one fraction."""
+    return float(bounds._delta1(inp, *inp._annealed((kappa,)), 3.0)[0])
+
+
+def r2(inp, kappa):
+    """``bounds._r2`` at one fraction."""
+    return float(bounds._r2(inp, *inp._annealed((kappa,)))[0])
 
 
 class TestDelta1Bound:
     def test_zero_weight_perturbation(self, rng):
         inp = random_perturbed_inputs(rng)
-        assert delta1_bound(inp) == 0.0
+        assert delta1(inp, 0.5) == 0.0
 
     def test_singleton(self):
-        assert delta1_bound(simple_inputs()) == 0.0
+        assert delta1(simple_inputs(), 1.0) == 0.0
 
     def test_cross_component_summation_oracle(self):
         d, k = 2, 2
@@ -411,7 +430,7 @@ class TestDelta1Bound:
         gam = np.array([1.0, 0.5])
         kappa = 0.5
         inp = BoundInputs(weights=w, weights_tilde=wt, sigma=sigma, dsigma=dsig,
-                          dmeans=dm, lambdas=lam, gammas=gam, kappa=kappa, means=means)
+                          dmeans=dm, lambdas=lam, gammas=gam, means=means)
         factor = sum((wt[i] - w[i]) ** 2 / wt[i] ** 3 for i in range(k))
         c1 = 0.0
         for ell in range(k):
@@ -421,27 +440,27 @@ class TestDelta1Bound:
                     vt_i = sigma[i, h] + dsig[i, h] + kappa * lam[h]
                     gap = means[ell, h] - (means[i, h] + dm[i, h])
                     c1 += w[ell] * wt[i] * gam[h] * (v_ell + gap * gap) / vt_i**2
-        assert delta1_bound(inp) == pytest.approx(factor * c1, rel=1e-12)
+        assert delta1(inp, kappa) == pytest.approx(factor * c1, rel=1e-12)
 
 
 class TestR2MixtureBound:
     def test_zero_perturbation_is_one(self, rng):
         inp = random_perturbed_inputs(rng, band=0.0, dm_scale=0.0)
-        assert r2_mixture_bound(inp) == pytest.approx(1.0)
+        assert r2(inp, 0.5) == pytest.approx(1.0)
 
     def test_half_variance_is_infinite(self):
-        inp = simple_inputs(dsigma=[[-0.5]], kappa=0.0)
-        assert math.isinf(r2_mixture_bound(inp))
+        inp = simple_inputs(dsigma=[[-0.5]])
+        assert math.isinf(r2(inp, 0.0))
 
     def test_monte_carlo_density_ratio(self, rng):
-        inp = random_perturbed_inputs(rng, d=2, k=2, band=0.06, dm_scale=0.1, kappa=0.5)
-        rho = _mixture_from_inputs(inp, perturbed=False)
-        rho_t = _mixture_from_inputs(inp, perturbed=True)
+        inp = random_perturbed_inputs(rng, d=2, k=2, band=0.06, dm_scale=0.1)
+        rho = _mixture_from_inputs(inp, 0.5, perturbed=False)
+        rho_t = _mixture_from_inputs(inp, 0.5, perturbed=True)
         X = rho_t.sample(1_000_000, rng)
         log_r = rho.log_density(X) - rho_t.log_density(X)
         vals = np.exp(2 * log_r)
         mc = float(np.mean(vals))
-        bound = r2_mixture_bound(inp)
+        bound = r2(inp, 0.5)
         se = float(np.std(vals)) / 1000.0
         assert bound >= mc - 3 * se
 
@@ -449,22 +468,22 @@ class TestR2MixtureBound:
 class TestBrespUpper:
     def test_zero_perturbation_shortcut(self, rng):
         inp = random_perturbed_inputs(rng, band=0.0, dm_scale=0.0)
-        res = bresp_upper(inp)
+        res = bresp_upper(inp, 0.5)
         assert res.exact_zero
         assert res.value == 0.0
         assert math.isfinite(res.envelope) and res.envelope > 0.0
 
     def test_band_violation_infinite(self):
-        inp = simple_inputs(dsigma=[[-0.2]], kappa=0.0)  # ratio 0.8
-        res = bresp_upper(inp)
+        inp = simple_inputs(dsigma=[[-0.2]])  # ratio 0.8 at fraction 0
+        res = bresp_upper(inp, 0.0)
         assert not res.band_ok
         assert math.isinf(res.envelope)
 
     def test_monte_carlo_dominance(self, rng):
         for _ in range(3):
-            inp = random_perturbed_inputs(rng, d=3, k=2, band=0.06, dm_scale=0.1, kappa=0.5)
-            lhs = _mc_responsibility_lhs(inp, rng, n=200_000)
-            res = bresp_upper(inp)
+            inp = random_perturbed_inputs(rng, d=3, k=2, band=0.06, dm_scale=0.1)
+            lhs = _mc_responsibility_lhs(inp, 0.5, rng, n=200_000)
+            res = bresp_upper(inp, 0.5)
             assert res.value >= lhs
 
 
@@ -473,7 +492,7 @@ class TestErrorBudget:
         return random_perturbed_inputs(rng, **kw)
 
     def test_zero_perturbation_lines(self, rng):
-        inp = random_perturbed_inputs(rng, band=0.0, dm_scale=0.0, kappa=1.0)
+        inp = random_perturbed_inputs(rng, band=0.0, dm_scale=0.0)
         budget = error_budget(inp, t_horizon=10.0, grid_size=64)
         assert budget.e_init == 0.0
         assert budget.e_score_comp == 0.0
@@ -483,11 +502,11 @@ class TestErrorBudget:
         assert budget.total() == pytest.approx(budget.e_bias)
 
     def test_monotone_in_perturbation(self, rng):
-        base = random_perturbed_inputs(rng, band=0.03, dm_scale=0.05, kappa=1.0)
+        base = random_perturbed_inputs(rng, band=0.03, dm_scale=0.05)
         bigger = BoundInputs(
             weights=base.weights, weights_tilde=base.weights_tilde,
             sigma=base.sigma, dsigma=2 * base.dsigma, dmeans=2 * base.dmeans,
-            lambdas=base.lambdas, gammas=base.gammas, kappa=1.0, means=base.means,
+            lambdas=base.lambdas, gammas=base.gammas, means=base.means,
         )
         a = error_budget(base, 5.0, grid_size=64)
         b = error_budget(bigger, 5.0, grid_size=64)
@@ -495,15 +514,14 @@ class TestErrorBudget:
         assert b.e_init >= a.e_init
 
     def test_separate_init_inputs(self, rng):
-        score_in = random_perturbed_inputs(rng, band=0.05, dm_scale=0.0, kappa=1.0)
+        score_in = random_perturbed_inputs(rng, band=0.05, dm_scale=0.0)
         k = score_in.n_components
         w = np.asarray(score_in.weights)
         wt = np.roll(w, 1)
         init_in = BoundInputs(
             weights=w, weights_tilde=wt, sigma=score_in.sigma,
             dsigma=np.zeros_like(score_in.sigma), dmeans=np.zeros_like(score_in.sigma),
-            lambdas=score_in.lambdas, gammas=score_in.gammas, kappa=1.0,
-            means=score_in.means,
+            lambdas=score_in.lambdas, gammas=score_in.gammas, means=score_in.means,
         )
         budget = error_budget(score_in, 5.0, grid_size=32, init_inputs=init_in)
         assert budget.e_init == pytest.approx(weight_kl(w, wt))
@@ -513,7 +531,7 @@ class TestGridKernel:
     """``_budget_grid`` evaluates every fraction at once; each row is the single-fraction call."""
 
     def _weight_perturbed(self, rng):
-        inp = random_perturbed_inputs(rng, d=4, k=3, kappa=1.0)
+        inp = random_perturbed_inputs(rng, d=4, k=3)
         wt = 0.8 * inp.weights + 0.2 * np.roll(inp.weights, 1)
         return BoundInputs(
             weights=inp.weights, weights_tilde=wt / wt.sum(), sigma=inp.sigma, dsigma=inp.dsigma,
@@ -527,10 +545,9 @@ class TestGridKernel:
         monkeypatch.setattr(bounds, "_GRID_ELEMS", elems)  # one fraction, several, all per block
         comp, resp, env = bounds._budget_grid(inp, kappas)
         for g, kap in enumerate(kappas):
-            at = inp.with_kappa(kap)
-            b = bresp_upper(at)
+            b = bresp_upper(inp, kap)
             assert b.weight_term > 0.0 and math.isfinite(b.envelope)
-            assert comp[g] == bcomp_bound(at)
+            assert comp[g] == bcomp_bound(inp, kap)
             assert resp[g] == b.value
             assert env[g] == b.envelope
 
@@ -550,18 +567,18 @@ class TestGridKernel:
         np.testing.assert_array_equal(resp, env)
         assert np.all(np.isfinite(comp))
         for kap, ok in zip(kappas, in_band):
-            assert bresp_upper(inp.with_kappa(kap)).band_ok == ok
+            assert bresp_upper(inp, kap).band_ok == ok
 
     def test_overflowing_exp_is_inf_not_nan(self):
         # in band, but the p = 8 log moment is 8 * 7 * 100 / 2 = 2800: exp overflows
-        inp = simple_inputs(dmeans=[[10.0]], kappa=0.0)
+        inp = simple_inputs(dmeans=[[10.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isinf(ratio_p_moment(8.0, 1.0, 1.0, 10.0))
             comp, resp, env = bounds._budget_grid(inp, np.linspace(0.0, 1.0, 9))
-            b = bresp_upper(inp)
+            b = bresp_upper(inp, 0.0)
             budget = error_budget(inp, 1.0, grid_size=9)
-        assert b.band_ok and math.isfinite(r2_mixture_bound(inp))
+        assert b.band_ok and math.isfinite(r2(inp, 0.0))
         assert math.isinf(b.phi_term) and math.isinf(b.envelope)
         assert np.all(np.isinf(env)) and not np.any(np.isnan(env))
         assert np.all(np.isfinite(comp))
@@ -619,11 +636,18 @@ class TestBoundInputsValidation:
             simple_inputs(dsigma=[[-1.0]])
 
     def test_rejects_bad_kappa(self):
-        with pytest.raises(BoundsError):
-            simple_inputs(kappa=1.5)
+        # the fraction is an argument of the single-fraction bounds, range-checked there
+        inp = simple_inputs()
+        for kappa in (-0.1, 1.5, float("nan")):
+            with pytest.raises(BoundsError, match="kappa must lie in"):
+                bcomp_bound(inp, kappa)
+            with pytest.raises(BoundsError, match="kappa must lie in"):
+                bresp_upper(inp, kappa)
+        with pytest.raises(TypeError):
+            simple_inputs(kappa=0.5)  # the inputs carry no fraction
 
     def test_variance_ratio_property(self):
-        inp = simple_inputs(dsigma=[[0.5]], kappa=0.0)
-        assert inp.variance_ratio[0, 0] == pytest.approx(1.5)
-        half = inp.with_kappa(1.0)
-        assert half.variance_ratio[0, 0] == pytest.approx(1.25)
+        # v_tilde / v = (sigma + dsigma + kappa lambda) / (sigma + kappa lambda)
+        inp = simple_inputs(dsigma=[[0.5]])
+        v, vt = inp._annealed((0.0, 1.0))
+        np.testing.assert_allclose((vt / v)[:, 0, 0], [1.5, 1.25])

@@ -142,6 +142,23 @@ def test_removed_kind_keys_rejected():
             parse_config_text(solo(key))
 
 
+def test_k_values_checked_against_sample_sizes_at_parse_time():
+    # knn_kl needs k < n_target_samples and k <= n_chains; a bad k used to fail after a first cell ran
+    with open("configs/fig2.cfg", encoding="utf-8") as fh:
+        fig2 = fh.read()
+    with pytest.raises(ConfigError, match="k_values 3000 must each be below n_target_samples = 2500"):
+        parse_config_text(fig2.replace("k_values = 20, 50, 80", "k_values = 3000"))
+
+    def sampling(n_target, n_chains, ks):
+        return MINIMAL + f"\n[sampling]\nn_target_samples = {n_target}\nn_chains = {n_chains}\nk_values = {ks}\n"
+
+    for bad in ((50, 100, "1, 50"), (100, 50, "51")):
+        with pytest.raises(ConfigError, match="k_values"):
+            parse_config_text(sampling(*bad))
+    for edge in ((50, 100, "1, 49"), (100, 50, "50")):
+        parse_config_text(sampling(*edge))
+
+
 def test_nonincreasing_d_rejected():
     bad = MINIMAL + "\n[sweep]\nd_values = 5, 5, 10\n"
     with pytest.raises(ConfigError, match="increasing"):

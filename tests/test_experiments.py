@@ -1,3 +1,6 @@
+import dataclasses
+import importlib.util
+import inspect
 import math
 import os
 import runpy
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from aldlab import engine, experiments
-from aldlab.bounds import error_budget, weight_kl
+from aldlab.bounds import BoundInputs, error_budget, weight_kl
 from aldlab.config import load_config, parse_config_text
 from aldlab.experiments import (
     ExperimentError,
@@ -522,3 +525,18 @@ dweights = -0.05, 0.05
 [output]
 csv = results/dw.csv
 """
+
+
+def test_benchmark_hooks_exist():
+    # the benchmark's tracer swaps each (owner, attr) in PATCHES for a wrapper and reads these
+    # parameters by name; a deletion here would break traced runs without failing untraced ones
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.PATCHES) == 14
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in tracing.PATCHES if not hasattr(owner, attr)]
+    assert missing == []
+    assert {"config", "n_chains"} <= inspect.signature(experiments.run_chains).parameters.keys()
+    assert "inputs" in inspect.signature(experiments.error_budget).parameters
+    assert "sigma" in {f.name for f in dataclasses.fields(BoundInputs)}
