@@ -359,7 +359,7 @@ def tilted_params(p: float, m: float, mt: float, v: float, vt: float) -> tuple[f
     return mt - (p * kap / disc) * dm, vt / disc
 
 
-def score_fourth_moment(gammas, vts, d: int | None = None) -> float:
+def score_fourth_moment(gammas, vts) -> float:
     """Exact fourth moment of the preconditioned diagonal-Gaussian score.
 
     Equals ``(sum_j gamma_j/vt_j)^2 + 2 sum_j gamma_j^2/vt_j^2`` for a
@@ -367,8 +367,6 @@ def score_fourth_moment(gammas, vts, d: int | None = None) -> float:
     """
     gam = np.asarray(gammas, dtype=float)
     vt = np.asarray(vts, dtype=float)
-    if d is not None:
-        gam, vt = gam[:d], vt[:d]
     if np.any(gam <= 0) or np.any(vt <= 0):
         raise BoundsError("inputs must be positive")
     return float(_score_fourth(gam, vt))

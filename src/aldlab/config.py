@@ -308,12 +308,7 @@ def _validate(kind, blocks, variants, source):
         raise ConfigError(f"{source}: sampling sizes must be positive")
     if any(kk < 1 for kk in samp.k_values) or not samp.k_values:
         raise ConfigError(f"{source}: k values must be positive")
-    # the estimator's P sample is the target draw (k < n) and its Q sample the chains (k <= m)
-    if any(kk >= samp.n_target_samples or kk > samp.n_chains for kk in samp.k_values):
-        raise ConfigError(
-            f"{source}: k_values {', '.join(map(str, samp.k_values))} must each be below "
-            f"n_target_samples = {samp.n_target_samples} and at most n_chains = {samp.n_chains}"
-        )
+    _check_k_values(samp, source)
     for v in variants:
         if v.drift not in ("exact", "misspecified", "ideal_corrected"):
             raise ConfigError(f"{source}: variant {v.name!r} has unknown drift {v.drift!r}")
@@ -348,10 +343,20 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config_text(fh.read(), source=path)
 
 
+def _check_k_values(samp: SamplingBlock, source: str) -> None:
+    # the estimator's P sample is the target draw (k < n) and its Q sample the chains (k <= m)
+    if any(kk >= samp.n_target_samples or kk > samp.n_chains for kk in samp.k_values):
+        raise ConfigError(
+            f"{source}: k_values {', '.join(map(str, samp.k_values))} must each be below "
+            f"n_target_samples = {samp.n_target_samples} and at most n_chains = {samp.n_chains}"
+        )
+
+
 def apply_ci_profile(cfg: ExperimentConfig) -> ExperimentConfig:
     """Desk-scale profile: fewer chains and dimensions at the same horizon.
 
-    Scales the chain count and sample size to 1000 and truncates the sweep
+    Scales the chain count and sample size to 1000 (a k in ``k_values`` that
+    no longer fits is a ``ConfigError``) and truncates the sweep
     (d <= 25; d <= 12 for the step-search experiment). For the fixed-length
     experiments the step count drops to 2000 with dt scaled up to preserve
     the continuous time horizon; the step-search experiment keeps its step
@@ -374,6 +379,7 @@ def apply_ci_profile(cfg: ExperimentConfig) -> ExperimentConfig:
         n_chains=min(cfg.sampling.n_chains, 1000),
         n_target_samples=min(cfg.sampling.n_target_samples, 1000),
     )
+    _check_k_values(sampling, f"{cfg.name} under the ci profile")
     out = cfg.output
     out = replace(
         out,

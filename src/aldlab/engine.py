@@ -24,10 +24,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .mixture import DiagGMM, MixturePerturbation, apply_perturbation, mixture_score, smooth
+from .mixture import (
+    DiagGMM,
+    MixturePerturbation,
+    ScoreWork,
+    apply_perturbation,
+    level_constants,
+    score_step,
+    smooth,
+)
 from .spectra import PowerLaw
 
 BLOCK_SIZE = 512
+# Cap on the smoothed variances (levels x K x d) per slab of level constants:
+# a slab's constants take about 2x this many floats.
+_LEVEL_ELEMS = 2**16
 
 
 class EngineError(RuntimeError):
@@ -165,7 +176,8 @@ def _run_block(
     init_gmm = config.init_mixture
     if init_gmm is None:
         init_gmm = smooth(target, config.c_base, sched.theta0)
-    x = init_gmm.sample(BLOCK_SIZE, rng)
+    # the state is held transposed, (d, BLOCK_SIZE), one column per chain
+    xt = np.ascontiguousarray(init_gmm.sample(BLOCK_SIZE, rng).T)
 
     drift_gmm = target
     if config.drift_mode == "misspecified":
@@ -179,24 +191,42 @@ def _run_block(
         pre = gam + sched.theta0 * lam / (2.0 * sched.t_horizon)
     else:
         pre = gam
+    pre = pre[:, None]
     noise_std = np.sqrt(2.0 * sched.dt * gam) * noise_scale
     levels = sched.levels
     dt = sched.dt
+    n_steps = sched.n_steps - 1
+    slab = max(1, _LEVEL_ELEMS // base_vars.size)
 
+    work = ScoreWork(BLOCK_SIZE, d, base_vars.shape[0])
+    noise = np.empty((BLOCK_SIZE, d))  # drawn one row per chain, as the init sample
+    finite = np.empty((d, BLOCK_SIZE), dtype=bool)
     saved = {}
     if 0 in checkpoints:
-        saved[0] = x[:n_rows].copy()
+        saved[0] = xt[:, :n_rows].T.copy()
     # overflow of a diverging state is detected right after the step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(sched.n_steps - 1):
-            s = mixture_score(means, base_vars + float(levels[k]) * lam[None, :], log_w, x)
-            x = x + dt * (pre * s) + noise_std * rng.standard_normal((BLOCK_SIZE, d))
-            if not np.all(np.isfinite(x)):
-                row = int(np.argwhere(~np.isfinite(x))[0][0])
-                raise ChainDivergenceError(chain=block * BLOCK_SIZE + row, step=k)
-            if (k + 1) in checkpoints:
-                saved[k + 1] = x[:n_rows].copy()
-    return x[:n_rows], saved
+        for lo in range(0, n_steps, slab):
+            hi = min(n_steps, lo + slab)
+            center, coef, offset = level_constants(
+                means, base_vars + levels[lo:hi, None, None] * lam, log_w
+            )
+            for k in range(lo, hi):
+                # x + dt * (pre * s) + noise_std * xi in place, in this order, so a
+                # noise-free step is x + dt * (pre * DiagGMM.score(x)) bit for bit
+                s = score_step(xt, center, coef[k - lo], offset[k - lo], work)
+                s *= pre
+                s *= dt
+                xt += s
+                rng.standard_normal(out=noise)
+                noise *= noise_std
+                xt += noise.T
+                if not np.isfinite(xt, out=finite).all():
+                    row = int(np.flatnonzero(~finite.all(axis=0))[0])
+                    raise ChainDivergenceError(chain=block * BLOCK_SIZE + row, step=k)
+                if (k + 1) in checkpoints:
+                    saved[k + 1] = xt[:, :n_rows].T.copy()
+    return xt[:, :n_rows].T, saved
 
 
 def run_chains(

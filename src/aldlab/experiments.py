@@ -38,7 +38,7 @@ WORKERS_ENV = "ALDLAB_WORKERS"
 # Names the float bits of chains and estimates. The chain-cache keys hash it
 # (with engine.BLOCK_SIZE), so a change that moves those bits must bump it:
 # cache entries from other numerics then miss instead of being served.
-NUMERICS_VERSION = 1
+NUMERICS_VERSION = 2
 
 CSV_HEADER = ("experiment", "variant", "d", "k", "seed", "repeat", "kl", "steps", "wall_time_s")
 

@@ -10,7 +10,7 @@ function and safe to call concurrently. Random sampling takes a caller-owned
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,18 +89,22 @@ class DiagGMM:
     def log_density(self, x):
         """Mixture log density via log-sum-exp; finite for all finite points."""
         X, single = self._as_batch(x)
-        a, _ = _log_joint(self.means, self.variances, np.log(self.weights), X)
-        amax = a.max(axis=1, keepdims=True)
-        out = (amax + np.log(np.sum(np.exp(a - amax), axis=1, keepdims=True)))[:, 0]
+        a = self._log_joints(X)
+        amax = a.max(axis=0)
+        out = amax + np.log(np.sum(np.exp(a - amax), axis=0))
         out -= 0.5 * self.dim * _LOG_2PI
         return float(out[0]) if single else out
 
     def responsibilities(self, x) -> np.ndarray:
         """Posterior component probabilities, rows summing to 1."""
         X, single = self._as_batch(x)
-        a, _ = _log_joint(self.means, self.variances, np.log(self.weights), X)
-        r = _normalize(a)
+        r = _normalize(self._log_joints(X)).T
         return r[0] if single else r
+
+    def _log_joints(self, X) -> np.ndarray:
+        """The (K, n) log joints at the rows of ``X``."""
+        xt, c, work = _kernel_inputs(self.means, self.variances, np.log(self.weights), X)
+        return _log_joint(xt, *c, work)
 
     def score(self, x) -> np.ndarray:
         """Gradient of the mixture log density."""
@@ -127,40 +131,117 @@ class DiagGMM:
 
 
 # -- the score kernel ---------------------------------------------------
+#
+# Every density, responsibility and score here comes from one quadratic form,
+# evaluated as matrix products. With the reference point c = mean_i m_i,
+# y = x - c and m'_i = m_i - c, the log joint of point n and component i is
+#
+#     a[i, n] = log w_i - 1/2 sum_j ((y_nj - m'_ij)^2 / v_ij + log v_ij)
+#             = b_i + (m'_i / v_i) . y_n - 1/2 (1 / v_i) . (y_n * y_n),
+#     b_i     = log w_i - 1/2 (sum_j m'_ij^2 / v_ij + sum_j log v_ij),
+#
+# so the (K, n) log joints are one (K, 2d) @ (2d, n) product, and the score
+# -sum_i r_i (y - m'_i) / v_i = (m'/v)^T r - y * ((1/v)^T r) is one more.
+# Measuring from c keeps y^2 - 2 y m' + m'^2 from cancelling when the modes
+# sit far from the origin. The per-step part works on transposed arrays,
+# one column per point, so its elementwise operations and the softmax over
+# components run on contiguous rows. The constants depend on the variances
+# only: the engine builds them for many smoothing levels at once
+# (``level_constants``) and runs ``score_step`` on preallocated arrays
+# (``ScoreWork``).
 
 
-def _log_joint(means, variances, log_weights, x) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component log joint densities at the rows of ``x``, up to ``(d/2) log(2 pi)``.
+class LevelConstants(NamedTuple):
+    """The kernel's constants at one or more smoothing levels.
 
-    Returns ``a`` of shape ``(n, K)``, ``a[n, i] = log w_i + log N(x_n; m_i,
-    diag v_i) + (d/2) log(2 pi)``, and ``q = (x_n - m_i) / v_i`` of shape
-    ``(n, K, d)``. Every density, responsibility and score here is built on
-    this one quadratic form.
+    ``center`` (d, 1) is the mean of the component means; with
+    ``m' = m - center``, ``coef`` (..., K, 2d) is ``[m'/v | 1/v]`` and
+    ``offset`` (..., K, 1) is ``log w - (sum_j m'^2/v + sum_j log v) / 2``.
     """
-    diff = x[:, None, :] - means[None, :, :]
-    q = diff / variances[None, :, :]
-    a = log_weights[None, :] - 0.5 * (
-        np.einsum("nkd,nkd->nk", diff, q) + np.sum(np.log(variances), axis=1)[None, :]
-    )
-    return a, q
+
+    center: np.ndarray
+    coef: np.ndarray
+    offset: np.ndarray
 
 
-def _normalize(a: np.ndarray) -> np.ndarray:
-    """Responsibilities from log joints: a softmax over each row, overwriting ``a``."""
-    a -= a.max(axis=1, keepdims=True)
-    r = np.exp(a)
-    r /= r.sum(axis=1, keepdims=True)
-    return r
+def level_constants(means, variances, log_weights) -> LevelConstants:
+    """Kernel constants for ``variances`` of shape ``(..., K, d)``, one set per leading index.
+
+    Every operation is elementwise or a reduction over the last axis, so one
+    level's constants have the same bits whether built alone or in a stack.
+    """
+    center = means.mean(axis=0)
+    mc = means - center
+    inv = 1.0 / variances
+    mv = mc * inv
+    coef = np.concatenate((mv, inv), axis=-1)
+    offset = log_weights - 0.5 * (np.sum(mc * mv, axis=-1) + np.sum(np.log(variances), axis=-1))
+    return LevelConstants(center[:, None], coef, offset[..., None])
+
+
+class ScoreWork:
+    """Scratch arrays of the per-step kernel for ``n`` points, ``d`` coordinates, ``k`` components."""
+
+    def __init__(self, n: int, d: int, k: int):
+        self.y2 = np.empty((2 * d, n))  # [y; -y*y/2]
+        self.a = np.empty((k, n))  # log joints, then responsibilities
+        self.row = np.empty(n)
+        self.g = np.empty((2 * d, n))  # [(m'/v)^T r; (1/v)^T r]
+        self.s = np.empty((d, n))
+
+
+def _log_joint(xt, center, coef, offset, work: ScoreWork) -> np.ndarray:
+    """Log joints ``log w_i + log N(x_n; m_i, diag v_i) + (d/2) log(2 pi)``, (K, n), into ``work.a``.
+
+    ``xt`` is (d, n), one column per point.
+    """
+    d = xt.shape[0]
+    y = np.subtract(xt, center, out=work.y2[:d])
+    q = np.multiply(y, y, out=work.y2[d:])
+    q *= -0.5
+    a = np.matmul(coef, work.y2, out=work.a)
+    a += offset
+    return a
+
+
+def _normalize(a: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
+    """Responsibilities from (K, n) log joints: a softmax over each column, overwriting ``a``."""
+    a -= np.max(a, axis=0, out=row)
+    np.exp(a, out=a)
+    a /= np.sum(a, axis=0, out=row)
+    return a
+
+
+def score_step(xt, center, coef, offset, work: ScoreWork) -> np.ndarray:
+    """The kernel's per-step part: the score (d, n) at the columns of ``xt``, in ``work.s``.
+
+    ``center``, ``coef`` and ``offset`` are one level's constants. A point
+    that is not finite gets a score that is not finite; other points are
+    unaffected.
+    """
+    d = xt.shape[0]
+    r = _normalize(_log_joint(xt, center, coef, offset, work), work.row)
+    g = np.matmul(coef.T, r, out=work.g)
+    yv = np.multiply(work.y2[:d], g[d:], out=g[d:])
+    return np.subtract(g[:d], yv, out=work.s)
+
+
+def _kernel_inputs(means, variances, log_weights, x):
+    """The transposed points, one level's constants and scratch arrays for ``x`` (n, d)."""
+    xt = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+    c = level_constants(means, variances, log_weights)
+    return xt, c, ScoreWork(xt.shape[1], xt.shape[0], c.coef.shape[0])
 
 
 def mixture_score(means, variances, log_weights, x) -> np.ndarray:
     """Score of a diagonal mixture at the rows of ``x``: ``-sum_i r_i (x - m_i) / v_i``.
 
     The one score kernel: ``DiagGMM.score`` and the engine's step loop both
-    call it, so a chain step and the mixture's score agree bit for bit.
+    run ``score_step`` on the same constants, so a chain step and the
+    mixture's score agree bit for bit.
     """
-    a, q = _log_joint(means, variances, log_weights, x)
-    return -np.einsum("nk,nkd->nd", _normalize(a), q)
+    xt, c, work = _kernel_inputs(means, variances, log_weights, x)
+    return score_step(xt, *c, work).T
 
 
 # -- construction -------------------------------------------------------

@@ -6,6 +6,7 @@ from aldlab.config import (
     load_config,
     parse_config_text,
 )
+from aldlab.cli import main
 
 MINIMAL = """
 [experiment]
@@ -174,6 +175,19 @@ def test_ci_profile_preserves_horizon():
     assert ci.sampling.n_chains == 1000
     assert max(ci.sweep.d_values) <= 25
     assert ci.output.csv.endswith("_ci.csv")
+
+
+def test_ci_profile_checks_k_values(tmp_path):
+    # the ci profile cuts the sample sizes to 1000; a k that no longer fits
+    # stops the run at config time instead of inside knn_kl after a cell ran
+    with open("configs/fig2.cfg", encoding="utf-8") as fh:
+        text = fh.read().replace("k_values = 20, 50, 80", "k_values = 20, 1500")
+    path = tmp_path / "fig2_k.cfg"
+    path.write_text(text.replace("csv = results/", f"csv = {tmp_path}/"), encoding="utf-8")
+    load_config(str(path))  # fits the full-scale sizes
+    with pytest.raises(ConfigError, match="fig2 under the ci profile: k_values 20, 1500 must each be below"):
+        main(["run", str(path), "--profile", "ci"])
+    assert not (tmp_path / "chain_cache").exists()
 
 
 def test_ci_profile_fig1_keeps_grid():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from aldlab import (
     run_chains,
     smooth,
 )
+from aldlab import engine
 from aldlab.mixture import mixture_score
 from conftest import fig2_target
 
@@ -237,6 +241,22 @@ class TestRunChains:
         c = run_chains(cfg, g, 600, seed=11)
         np.testing.assert_array_equal(a.samples[:600], c.samples)
 
+    def test_level_slabs_do_not_change_bits(self, monkeypatch):
+        # the step loop builds its level constants a slab of levels at a time;
+        # one level per slab gives the same chains as the default slabs
+        g = fig2_target(3)
+        cfg = ALDConfig(
+            dim=3,
+            schedule=make_schedule(50, 9e-3, 20.0),
+            gamma=PowerLaw(1.0, 1.5),
+            c_base=PowerLaw(1.0, 2.7),
+        )
+        a = run_chains(cfg, g, 100, seed=4, checkpoints=(17,))
+        monkeypatch.setattr(engine, "_LEVEL_ELEMS", 1)
+        b = run_chains(cfg, g, 100, seed=4, checkpoints=(17,))
+        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a.checkpoints[17], b.checkpoints[17])
+
     def test_seed_changes_output(self):
         g = fig2_target(2)
         cfg = ALDConfig(
@@ -320,6 +340,47 @@ class TestRunChains:
         with pytest.raises(ChainDivergenceError) as err:
             run_chains(cfg, g, 8, seed=1)
         assert err.value.step >= 0 and err.value.chain >= 0
+
+    def test_divergence_in_second_block_names_chain_and_step(self):
+        # block 1 draws a chain from the far init component, which the unstable
+        # step (dt/v = 1000) grows 1000x per step until its square overflows;
+        # block 0 draws none and finishes. The einsum kernel this replaced
+        # reported the same chain and step.
+        g = single_gaussian(d=1, var=1e-3)
+        init = DiagGMM(weights=(0.999, 0.001), means=[[0.0], [1e140]], variances=[[1e-2], [1e-2]])
+        cfg = ALDConfig(
+            dim=1,
+            schedule=make_schedule(12, 1.0, 1e-9),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1e-9),
+            init_mixture=init,
+        )
+        with pytest.raises(ChainDivergenceError) as err:
+            run_chains(cfg, g, 700, seed=11)
+        assert (err.value.chain, err.value.step) == (545, 5)
+        run_chains(cfg, g, 512, seed=11)  # block 0 alone stays finite
+
+    def test_blas_threads_do_not_change_bits(self, tmp_path):
+        # two blocks of 700 chains give the same bits on one BLAS thread and on two
+        script = (
+            "import sys, numpy as np\n"
+            "from aldlab import ALDConfig, PowerLaw, make_schedule, run_chains\n"
+            "from conftest import fig2_target\n"
+            "cfg = ALDConfig(dim=25, schedule=make_schedule(20, 9e-3, 20.0),\n"
+            "                gamma=PowerLaw(1.0, 1.5), c_base=PowerLaw(1.0, 2.7))\n"
+            "np.save(sys.argv[1], run_chains(cfg, fig2_target(25), 700, seed=3).samples)\n"
+        )
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, tests_dir, env.get("PYTHONPATH")) if p)
+            out = tmp_path / f"threads{threads}.npy"
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=300)
+            runs.append(np.load(out))
+        assert runs[0].shape == (700, 25) and np.all(np.isfinite(runs[0]))
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_init_exact_smoothed_moments(self):
         g = fig2_target(2)

@@ -16,7 +16,8 @@ from aldlab import (
     mean_rule_to_vector,
     smooth,
 )
-from conftest import fig2_target, random_mixture
+from aldlab.mixture import mixture_score
+from conftest import fig2_target, fig3_target, random_mixture
 
 
 def component_log_densities(gmm, x):
@@ -280,6 +281,72 @@ class TestPerturbation:
         pert = MixturePerturbation(dvars=(PowerLaw(-0.5),))
         with pytest.raises(MixtureError, match="coordinate 1"):
             apply_perturbation(g, pert)
+
+
+class TestKernelOracle:
+    """The matrix-product kernel against the explicit ``(x - m) / v`` form.
+
+    TOL = 1e-12. Each quantity sums at most 2d + 2 = 132 float64 terms, so
+    its rounding error is at most about 132 * 1.1e-16 = 1.5e-14 of the sum
+    of the terms' magnitudes (the standard bound for a recursive sum); 1e-12
+    leaves a factor of about 70 for the exp, log and division steps. The
+    magnitudes are the constant 0.5 sum_j |log v_j| + (d/2) log(2 pi) for
+    the log density, 1 for responsibilities, and, per score entry,
+    (|x_j - c_j| + max_i |m_ij - c_j|) / min_i v_ij about the mean c of the
+    modes. Measured: at most 3e-15 on these cases. Evaluated about the
+    origin, x^2 - 2 x m + m^2 cancels once the modes and rows sit 1e3 away
+    and the error reaches 1e-11 at d = 1 and 1e-6 at d = 65.
+    """
+
+    TOL = 1e-12
+
+    @staticmethod
+    def explicit(g, x):
+        diff = x[:, None, :] - g.means[None]
+        q = diff / g.variances[None]
+        a = np.log(g.weights) - 0.5 * (
+            np.einsum("nkd,nkd->nk", diff, q) + np.log(g.variances).sum(axis=1)
+        )
+        amax = a.max(axis=1, keepdims=True)
+        e = np.exp(a - amax)
+        total = e.sum(axis=1, keepdims=True)
+        log_p = (amax + np.log(total))[:, 0] - 0.5 * g.dim * math.log(2 * math.pi)
+        r = e / total
+        return log_p, r, -np.einsum("nk,nkd->nd", r, q)
+
+    @pytest.mark.parametrize("d", [1, 5, 65])
+    @pytest.mark.parametrize("make", [fig2_target, fig3_target], ids=["fig2", "fig3"])
+    def test_matches_explicit_form(self, make, d):
+        base = make(d)  # modes 10 apart on the first coordinate
+        pts = base.sample(300, np.random.default_rng(d))
+        for shift in (0.0, 1e3, -1e3):  # modes and rows moved together
+            g = DiagGMM(weights=base.weights, means=base.means + shift, variances=base.variances)
+            c = g.means.mean(axis=0)
+            for off in (0.0, 1.0, -3.0, 10.0, 100.0, -1e3, 1e3):  # rows moved off the modes
+                x = pts + shift
+                x[:, 0] += off
+                log_p, r, s = self.explicit(g, x)
+                const = 0.5 * np.abs(np.log(g.variances)).max(axis=0).sum() + 0.5 * d * math.log(2 * math.pi)
+                np.testing.assert_allclose(g.log_density(x), log_p, rtol=self.TOL, atol=self.TOL * const)
+                np.testing.assert_allclose(g.responsibilities(x), r, rtol=0, atol=self.TOL)
+                terms = (np.abs(x - c) + np.abs(g.means - c).max(axis=0)) / g.variances.min(axis=0)
+                got = mixture_score(g.means, g.variances, np.log(g.weights), x)
+                assert np.all(np.abs(got - s) <= self.TOL * (np.abs(s) + terms)), (shift, off)
+                np.testing.assert_array_equal(g.score(x), got)
+
+    def test_nonfinite_row_stays_nonfinite(self):
+        # a diverged chain stays diverged through the kernel, and its row
+        # leaves the other rows' bits alone
+        g = fig2_target(5)
+        x = g.sample(8, np.random.default_rng(1))
+        clean = g.score(x)
+        for bad in (np.inf, -np.inf, np.nan, 1e200):
+            y = x.copy()
+            y[3, 2] = bad
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = g.score(y)
+            assert not np.all(np.isfinite(s[3])), bad
+            np.testing.assert_array_equal(np.delete(s, 3, axis=0), np.delete(clean, 3, axis=0))
 
 
 # -- property-based invariants ------------------------------------------------
