@@ -18,7 +18,7 @@ over d and K, so a whole grid of fractions is a few array operations.
 temporaries. The single-fraction entry points ``bcomp_bound(inputs, kappa)``
 and ``bresp_upper(inputs, kappa)`` are the same helpers at G = 1; the
 initialization bounds ``component_init_kl`` and ``init_kl_bound`` sit at
-fraction 1.
+fraction 1. :mod:`aldlab.conditions` sums the same per-coordinate summand helpers.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WEIGHT_TOL = 1e-12
+_BAND = 1.0 / 8.0  # the +-8 ratio moments are finite while every vt/v lies in (7/8, 9/8)
 _GRID_ELEMS = 2**14  # cap on the elements of one block's (G, K, K, d) array in the grid kernel
 
 
@@ -122,11 +123,16 @@ class BoundInputs:
 # -- horizon ---------------------------------------------------------------
 
 
+def _kd_terms(inputs: BoundInputs) -> np.ndarray:
+    """Summands of the horizon constant per component and coordinate, (K, d)."""
+    lam = inputs.lambdas
+    terms = (lam / inputs.gammas) * np.log1p(lam / inputs.sigma)
+    return inputs.weights[:, None] * terms / 16.0
+
+
 def kd_constant(inputs: BoundInputs) -> float:
     """Horizon constant: (1/16) sum_i w_i sum_j (lambda_j/gamma_j) log(1 + lambda_j/sigma_ij)."""
-    lam = inputs.lambdas[None, :]
-    terms = (lam / inputs.gammas[None, :]) * np.log1p(lam / inputs.sigma)
-    return float(np.sum(inputs.weights[:, None] * terms)) / 16.0
+    return float(np.sum(_kd_terms(inputs)))
 
 
 def horizon(kd: float, epsilon: float) -> float:
@@ -150,20 +156,16 @@ def weight_kl(w, w_tilde) -> float:
     return float(np.sum(w * np.log(w / wt)))
 
 
-def component_init_kl(inputs: BoundInputs, i: int) -> float:
-    """KL between component i's smoothed law and its perturbed counterpart.
+def _init_kl_terms(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance summands of twice the componentwise KL, elementwise in ``v``/``vt``."""
+    dsig = inputs.dsigma
+    return inputs.dmeans**2 / vt, np.log1p(dsig / v) - dsig / vt
 
-    Evaluated at fraction 1: the initialization sits at the fully smoothed level.
-    """
-    sig = inputs.sigma[i]
-    dsig = inputs.dsigma[i]
-    dm = inputs.dmeans[i]
-    lam = inputs.lambdas
-    vt = sig + dsig + lam
-    if np.any(vt <= 0):
-        raise BoundsError(f"component {i + 1} has non-positive perturbed smoothed variance")
-    terms = dm * dm / vt + np.log1p(dsig / (sig + lam)) - dsig / vt
-    return 0.5 * float(np.sum(terms))
+
+def component_init_kl(inputs: BoundInputs, i: int) -> float:
+    """KL between component i's law and its perturbed counterpart at fraction 1, the initialization level."""
+    mean, var = _init_kl_terms(inputs, *inputs._annealed((1.0,)))
+    return 0.5 * float(np.sum(mean[0, i] + var[0, i]))
 
 
 def init_kl_bound(inputs: BoundInputs) -> float:
@@ -202,53 +204,76 @@ def _log_ratio_p_moment(p: float, v, vt, dm):
     return np.where(disc > 0, log_m, np.inf)
 
 
+def _score_fourth_terms(gammas, vt) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate summands ``gamma/vt`` and ``(gamma/vt)^2`` of the score fourth moment."""
+    scaled = gammas / vt
+    return scaled, scaled**2
+
+
 def _score_fourth(gammas, vt):
     """Fourth moment of the preconditioned Gaussian score, reduced over the last axis."""
-    scaled = gammas / vt
+    scaled, squared = _score_fourth_terms(gammas, vt)
     first = scaled.sum(axis=-1)
-    return first * first + 2.0 * (scaled**2).sum(axis=-1)
+    return first * first + 2.0 * squared.sum(axis=-1)
+
+
+def _band_deviation(v, vt):
+    """Elementwise variance-ratio deviation ``|vt/v - 1|``; the +-8 moments need it below ``_BAND``."""
+    return np.abs(vt / v - 1.0)
+
+
+def _tilted_terms(p: float, gammas, v, vt, dm) -> tuple[np.ndarray, ...]:
+    """Elementwise summands of the r^p-tilted score moments (``tilted_params``).
+
+    The first moment's mean-free and mean parts ``lin0``, ``lin1``, then the
+    second moment's parts ``3 lin0^2``, ``6 lin0 lin1`` and ``lin1^2``; all
+    ``inf`` where the tilt is not normalizable.
+    """
+    kap = vt / v
+    disc = p * kap - (p - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lin0 = np.where(disc > 0, gammas / (disc * vt), np.inf)
+        lin1 = np.where(disc > 0, gammas * (p * kap / disc) ** 2 * dm**2 / vt**2, np.inf)
+        return lin0, lin1, 3.0 * lin0**2, 6.0 * lin0 * lin1, lin1**2
 
 
 def _tilted_fourth(p: float, gammas, v, vt, dm) -> np.ndarray:
     """Tilted fourth-moment bound on the perturbed score, per fraction and component, (G, K).
 
-    Expands the r^p-tilted Gaussian parameters (``tilted_params``) coordinate
-    by coordinate; ``inf`` where the tilt is not normalizable at some coordinate.
+    ``inf`` where the tilt is not normalizable at some coordinate.
     """
-    kap = vt / v
-    disc = p * kap - (p - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lin = gammas * (1.0 / (disc * vt) + (p * kap / disc) ** 2 * dm**2 / vt**2)
-        quad = gammas**2 * (
-            3.0 / (disc**2 * vt**2)
-            + 6.0 * p**2 * kap**2 * dm**2 / (disc**3 * vt**3)
-            + p**4 * kap**4 * dm**4 / (disc**4 * vt**4)
-        )
-        total_lin = lin.sum(axis=-1)
-        bound = total_lin * total_lin + quad.sum(axis=-1)
-    return np.where(np.all(disc > 0, axis=-1), bound, np.inf)
+    lin0, lin1, *second = _tilted_terms(p, gammas, v, vt, dm)
+    with np.errstate(over="ignore"):
+        first = (lin0 + lin1).sum(axis=-1)
+        return first * first + sum(second).sum(axis=-1)
 
 
-def _delta1(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray, p: float) -> np.ndarray:
-    """Weight-perturbation part of the responsibility mismatch, per fraction, (G,).
-
-    Product of the weight-mismatch factor ``sum_i (dw_i)^2 / wt_i^p`` and the
-    preconditioner-weighted score second-moment factor, which involves the
-    cross-component mean differences.
-    """
-    w = inputs.weights
+def _weight_factor(inputs: BoundInputs, p: float) -> float:
+    """Weight-mismatch factor ``sum_i (dw_i)^2 / wt_i^p`` of the weight term."""
     wt = inputs.weights_tilde
-    dw = wt - w
-    factor = float(np.sum(dw**2 / wt**p))
-    if factor == 0.0:
-        return np.zeros(len(v))
+    return float(np.sum((wt - inputs.weights) ** 2 / wt**p))
+
+
+def _delta1_terms(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray, p: float) -> np.ndarray:
+    """Per-coordinate summands of the weight term's score second-moment factor, (G, d)."""
+    w, wt = inputs.weights, inputs.weights_tilde
     means_tilde = inputs.means + inputs.dmeans
     # gap2[l, i, h] = (m_{lh} - mt_{ih})^2
     gap2 = (inputs.means[:, None, :] - means_tilde[None, :, :]) ** 2
     num = v[:, :, None, :] + gap2
     terms = inputs.gammas * num / vt[:, None, :, :] ** 2
     weighted = (w[:, None] * wt ** (p - 2.0))[:, :, None] * terms
-    return factor * weighted.reshape(len(v), -1).sum(axis=-1)
+    return weighted.sum(axis=(1, 2))
+
+
+def _delta1(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray, p: float) -> np.ndarray:
+    """Weight-perturbation part of the responsibility mismatch, per fraction, (G,).
+
+    Product of the weight-mismatch factor and the preconditioner-weighted
+    score second-moment factor, which involves the cross-component mean gaps.
+    """
+    factor = _weight_factor(inputs, p)
+    return factor * _delta1_terms(inputs, v, vt, p).sum(axis=-1) if factor else np.zeros(len(v))
 
 
 def _r2(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -265,8 +290,7 @@ def _r2(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray) -> np.ndarray:
 
 def _bresp(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray):
     """Envelope, weight term, density term and band flag of the responsibility bound, each (G,)."""
-    ratio = vt / v
-    band_ok = np.all((ratio > 7.0 / 8.0) & (ratio < 9.0 / 8.0), axis=(1, 2))
+    band_ok = np.all(_band_deviation(v, vt) < _BAND, axis=(1, 2))
     b_w = _delta1(inputs, v, vt, 3.0)
     r2 = _r2(inputs, v, vt)
     gam = inputs.gammas

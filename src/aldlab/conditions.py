@@ -1,20 +1,45 @@
 """Summability-condition diagnostics for power-law spectra.
 
-Each record pairs concrete partial sums (evaluated at probe dimensions) with
-a convergence verdict from exponent algebra: a series whose terms decay like
-``j**(-e)`` converges iff ``e > 1``. Sequences given with zero scale are
-identically zero and trivially convergent; a perturbation's scale may be
-negative. Band-type records track the running sup of the variance-ratio
-deviation instead of a series.
+Each series record is the running sum over coordinates of one budget term,
+computed by the :mod:`aldlab.bounds` helper that the budget line calls: the
+horizon constant's summand (``suff_kd`` at d is ``kd`` at d), the
+initialization-KL summands at fraction 1 (``init_*``), the weight term's
+mismatch factor and score second-moment summands (``w1_weights``,
+``s1_score_moment``), the score fourth-moment summands (``m0_*``), and the
++-8 log ratio moments and tilted-moment mean parts (``mpm_*``). A record
+keeps the worst component and power, and the worse of the fractions 0 and 1
+where it reads both. Band records keep the running sup of ``|vt/v - 1|`` at
+fraction 0. The ``init_*`` records describe an initial law that carries the
+score perturbation, not a weights-only one.
+
+Verdicts come from exponent algebra: a term that decays like ``j**(-e)``, up
+to a log factor, has a finite sum iff ``e > 1``. A zero-scale sequence is
+identically zero (decay ``inf``); a perturbation's scale may be negative. A
+record whose partial sums are infinite (the +-8 moments outside the band)
+diverges whatever its decay.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bounds import (
+    _BAND,
+    _GRID_ELEMS,
+    BoundInputs,
+    BoundsError,
+    _band_deviation,
+    _delta1_terms,
+    _init_kl_terms,
+    _kd_terms,
+    _log_ratio_p_moment,
+    _score_fourth_terms,
+    _tilted_terms,
+    _weight_factor,
+)
 from .spectra import PowerLaw
 
 
@@ -56,26 +81,29 @@ class ConditionReport:
         return tuple(rec.name for rec in self.records)
 
 
-def _verdict(exponent: float) -> str:
-    return "converges" if exponent > 1.0 else "diverges"
-
-
-def _series_record(name: str, exponent: float, per_j: np.ndarray, d_probe) -> ConditionRecord:
-    sums = np.cumsum(per_j)
-    partials = tuple((int(d), float(sums[int(d) - 1])) for d in d_probe)
-    return ConditionRecord(
-        name=name, partial_sums=partials, verdict=_verdict(exponent), exponent_margin=exponent
-    )
-
-
-def _band_record(name: str, deviation: np.ndarray, half_width: float, d_probe) -> ConditionRecord:
-    running = np.maximum.accumulate(deviation)
-    partials = tuple((int(d), float(running[int(d) - 1])) for d in d_probe)
-    worst = float(running[-1])
-    verdict = "converges" if worst < half_width else "diverges"
-    return ConditionRecord(
-        name=name, partial_sums=partials, verdict=verdict, exponent_margin=half_width - worst
-    )
+def _slab_terms(inputs: BoundInputs) -> dict:
+    """Each record's per-coordinate term over the coordinates of ``inputs``."""
+    gam, dm = inputs.gammas, inputs.dmeans
+    v, vt = inputs._annealed((0.0, 1.0))  # (2, K, n)
+    mean, var = _init_kl_terms(inputs, v[1], vt[1])
+    first, second = _score_fourth_terms(gam, vt[0])
+    dev = _band_deviation(v[0], vt[0]).max(axis=0)
+    tilted = [_tilted_terms(p, gam, v[0], vt[0], dm) for p in (8.0, -8.0)]
+    log_moment = np.max([_log_ratio_p_moment(p, v[0], vt[0], dm) for p in (8.0, -8.0)], axis=(0, 1))
+    return {
+        "suff_kd": _kd_terms(inputs).sum(axis=0),
+        "init_mean": mean.max(axis=0),
+        "init_var": var.max(axis=0),
+        "s1_score_moment": _delta1_terms(inputs, v, vt, 3.0).max(axis=0),
+        "band_r2": dev,
+        "band_m8": dev,
+        "m0_first": first.max(axis=0),
+        "m0_second": second.max(axis=0),
+        "mpm_band_series": log_moment,
+        "mpm_gamma_mean": np.max([t[1] for t in tilted], axis=(0, 1)),
+        "mpm_gamma2_mean": np.max([t[3] for t in tilted], axis=(0, 1)),
+        "mpm_gamma2_mean4": np.max([t[4] for t in tilted], axis=(0, 1)),
+    }
 
 
 def condition_report(
@@ -95,126 +123,79 @@ def condition_report(
 
     ``smooth`` must be the *effective* smoothing spectrum (initial level times
     the base spectrum); ``sigma_scales`` are the per-component variance
-    multipliers on the common ``j**(-sigma_exponent)`` shape. ``mean_gap_sq``
-    is the squared cross-component mean separation at coordinate 1 (the only
-    non-decaying mean structure supported). Perturbation conditions are
-    evaluated at the annealing fractions 0 and 1 and the worse case is kept.
+    multipliers on the common ``j**(-sigma_exponent)`` shape. Component 1 sits
+    at the origin and every other one at squared distance ``mean_gap_sq`` in
+    coordinate 1; all carry the same ``dmean`` and ``dsigma``. The terms are
+    evaluated in slabs of coordinates, which bounds the memory.
     """
     w = np.asarray(weights, dtype=float)
-    wt = w if weights_tilde is None else np.asarray(weights_tilde, dtype=float)
     taus = np.asarray(sigma_scales, dtype=float)
     if taus.shape != w.shape:
         raise ConditionError("need one sigma scale per weight")
     d_probe = tuple(int(d) for d in d_probe)
     if not d_probe or any(d < 1 for d in d_probe):
         raise ConditionError("d_probe must list positive dimensions")
-    dmax = max(d_probe)
-    js = np.arange(1, dmax + 1, dtype=float)
+    k, dmax = w.size, max(d_probe)
+    means = np.zeros((k, dmax))
+    means[1:, 0] = math.sqrt(mean_gap_sq)
+    try:
+        full = BoundInputs(
+            weights=w,
+            weights_tilde=w if weights_tilde is None else weights_tilde,
+            sigma=taus[:, None] * PowerLaw(1.0, sigma_exponent).eigenvalues(dmax),
+            dsigma=np.broadcast_to(dsigma.eigenvalues(dmax), (k, dmax)),
+            dmeans=np.broadcast_to(dmean.eigenvalues(dmax), (k, dmax)),
+            lambdas=smooth.eigenvalues(dmax),
+            gammas=gamma.eigenvalues(dmax),
+            means=means,
+        )
+    except BoundsError as err:
+        raise ConditionError(str(err)) from err
 
-    sig = taus[:, None] * js[None, :] ** (-sigma_exponent)  # (K, dmax)
-    lam = smooth.eigenvalues(dmax)
-    gam = gamma.eigenvalues(dmax)
-    if np.any(gam <= 0) or np.any(lam <= 0):
-        raise ConditionError("smoothing and preconditioner sequences must be positive")
-    dm = dmean.eigenvalues(dmax)
-    dsig = dsigma.eigenvalues(dmax)
-    vt0 = sig + dsig[None, :]  # perturbed variances at fraction 0
-    if np.any(vt0 <= 0):
-        raise ConditionError("perturbed variances must be positive")
-    a_mix = sigma_exponent
-    a_sm = smooth.decay
-    a_pre = gamma.decay
-    a_dm = dmean.decay
-    a_dsig = dsigma.decay
-    # decay of sigma~ = sigma + dsigma, and of the annealed variances at fractions 0 / 1
+    # running sums (sups for the bands) of every term, read at the probe dimensions
+    carry, partials = {}, {}
+    step = max(1, _GRID_ELEMS // (2 * k * k))  # caps the weight term's (2, K, K, n) block
+    for lo in range(0, dmax, step):
+        cols = slice(lo, lo + step)
+        rows = {name: getattr(full, name)[:, cols] for name in ("sigma", "dsigma", "dmeans", "means")}
+        slab = replace(full, lambdas=full.lambdas[cols], gammas=full.gammas[cols], **rows)
+        for name, terms in _slab_terms(slab).items():
+            op = np.maximum if name.startswith("band_") else np.add
+            running = op.accumulate(np.concatenate(([carry.get(name, 0.0)], terms)))
+            carry[name] = running[-1]
+            at = partials.setdefault(name, {})
+            at.update((d, float(running[d - lo])) for d in d_probe if lo < d <= lo + step)
+
+    a_mix, a_sm, a_pre = sigma_exponent, smooth.decay, gamma.decay
+    a_dm, a_dsig = dmean.decay, dsigma.decay
+    # decay of the annealed variances: v = sigma at fraction 0, v~ adds dsigma, fraction 1 adds lambda
     a_vt0 = min(a_mix, a_dsig)
-    a_v0 = a_mix
     a_v1 = min(a_mix, a_sm)
-    a_vt1 = min(a_mix, a_dsig, a_sm)
-
+    a_vt1 = min(a_vt0, a_sm)
+    w2 = float(max(np.max(full.weights / full.weights_tilde), np.max(full.weights_tilde / full.weights)))
+    for name, value in (("w1_weights", _weight_factor(full, 3.0)), ("w2_weight_ratio", w2)):
+        partials[name] = dict.fromkeys(d_probe, value)
+    margins = {  # decay exponents of the series; the remaining slack of the bands
+        # log1p(lambda/sigma) decays like lambda/sigma, or grows like log j when a_sm < a_mix
+        "suff_kd": a_sm - a_pre + max(0.0, a_sm - a_mix),
+        "init_mean": 2 * a_dm - a_vt1,
+        "init_var": 2 * max(0.0, a_dsig - a_v1),
+        "w1_weights": math.inf,
+        "w2_weight_ratio": math.inf,
+        "s1_score_moment": a_pre + min(min(a_mix, 2 * a_dm) - 2 * a_vt0, min(a_v1, 2 * a_dm) - 2 * a_vt1),
+        "band_r2": 0.5 - carry["band_r2"],  # the density-ratio second moment needs every vt/v > 1/2
+        "band_m8": _BAND - carry["band_m8"],
+        "m0_first": a_pre - a_vt0,
+        "m0_second": 2 * (a_pre - a_vt0),
+        "mpm_band_series": min(2 * (a_dsig - a_mix), 2 * a_dm - a_mix),
+        "mpm_gamma_mean": a_pre + 2 * a_dm - 2 * a_vt0,
+        "mpm_gamma2_mean": 2 * a_pre + 2 * a_dm - 3 * a_vt0,
+        "mpm_gamma2_mean4": 2 * a_pre + 4 * a_dm - 4 * a_vt0,
+    }
     records = []
-
-    # sufficient condition for a dimension-uniform horizon: sum lambda^2/(gamma sigma)
-    per_j = (w[:, None] * lam[None, :] ** 2 / (gam[None, :] * sig)).sum(axis=0)
-    records.append(_series_record("suff_kd", 2 * a_sm - a_pre - a_mix, per_j, d_probe))
-
-    vt1 = sig + dsig[None, :] + lam[None, :]  # fraction 1 (initialization level)
-    v1 = sig + lam[None, :]
-    # initialization-KL summability, sup over components
-    per_j = (dm[None, :] ** 2 / vt1).max(axis=0)
-    e = 2 * a_dm - a_vt1 if dmean.scale != 0 else math.inf
-    records.append(_series_record("init_mean", e, per_j, d_probe))
-    per_j = (dsig[None, :] ** 2 / (v1 * vt1)).max(axis=0)
-    e = 2 * a_dsig - a_v1 - a_vt1 if dsigma.scale != 0 else math.inf
-    records.append(_series_record("init_var", e, per_j, d_probe))
-
-    # weight-mismatch factor and weight comparability (no j dependence)
-    dw = wt - w
-    w1_val = float(np.sum(dw**2 / wt**3))
-    records.append(
-        ConditionRecord(
-            name="w1_weights",
-            partial_sums=tuple((d, w1_val) for d in d_probe),
-            verdict="converges",
-            exponent_margin=math.inf,
-        )
-    )
-    w2_val = float(max(np.max(w / wt), np.max(wt / w)))
-    records.append(
-        ConditionRecord(
-            name="w2_weight_ratio",
-            partial_sums=tuple((d, w2_val) for d in d_probe),
-            verdict="converges" if math.isfinite(w2_val) else "diverges",
-            exponent_margin=math.inf,
-        )
-    )
-
-    # preconditioner-variance compatibility behind the weight term
-    def s1_per_j(v_frac, vt_frac):
-        gaps = np.zeros((w.size, w.size, dmax))
-        gaps[:, :, :] = dm[None, None, :] ** 2
-        if w.size > 1 and mean_gap_sq > 0:
-            off = ~np.eye(w.size, dtype=bool)
-            gaps[off, 0] += mean_gap_sq
-        num = v_frac[:, None, :] + gaps
-        terms = gam[None, None, :] * num / vt_frac[None, :, :] ** 2
-        return np.einsum("l,i,lih->h", w, wt, terms)
-
-    v0 = sig
-    per_j = np.maximum(s1_per_j(v0, vt0), s1_per_j(v1, vt1))
-    e0 = a_pre + min(a_mix, 2 * a_dm) - 2 * a_vt0
-    e1 = a_pre + min(a_mix, a_sm, 2 * a_dm) - 2 * a_vt1
-    records.append(_series_record("s1_score_moment", min(e0, e1), per_j, d_probe))
-
-    # variance-ratio bands (worst fraction is 0, where the denominators are smallest)
-    dev = np.max(np.abs(dsig[None, :] / v0), axis=0)
-    records.append(_band_record("band_r2", dev, 0.5, d_probe))
-    records.append(_band_record("band_m8", dev, 1.0 / 8.0, d_probe))
-
-    # fourth-moment series of the preconditioned score
-    per_j = (gam[None, :] / vt0).max(axis=0)
-    records.append(_series_record("m0_first", a_pre - a_vt0, per_j, d_probe))
-    per_j = (gam[None, :] ** 2 / vt0**2).max(axis=0)
-    records.append(_series_record("m0_second", 2 * (a_pre - a_vt0), per_j, d_probe))
-
-    # tilted-moment summability and the mean-mismatch series
-    per_j = ((dsig[None, :] / v0) ** 2 + dm[None, :] ** 2 / v0).max(axis=0)
-    parts = []
-    if dsigma.scale != 0:
-        parts.append(2 * (a_dsig - a_v0))
-    if dmean.scale != 0:
-        parts.append(2 * a_dm - a_v0)
-    records.append(_series_record("mpm_band_series", min(parts) if parts else math.inf, per_j, d_probe))
-
-    zero_mean = dmean.scale == 0.0
-    per_j = (gam[None, :] * dm[None, :] ** 2 / vt0**2).max(axis=0)
-    e = math.inf if zero_mean else a_pre + 2 * a_dm - 2 * a_vt0
-    records.append(_series_record("mpm_gamma_mean", e, per_j, d_probe))
-    per_j = (gam[None, :] ** 2 * dm[None, :] ** 2 / vt0**3).max(axis=0)
-    e = math.inf if zero_mean else 2 * a_pre + 2 * a_dm - 3 * a_vt0
-    records.append(_series_record("mpm_gamma2_mean", e, per_j, d_probe))
-    per_j = (gam[None, :] ** 2 * dm[None, :] ** 4 / vt0**4).max(axis=0)
-    e = math.inf if zero_mean else 2 * a_pre + 4 * a_dm - 4 * a_vt0
-    records.append(_series_record("mpm_gamma2_mean4", e, per_j, d_probe))
-
+    for name, margin in margins.items():
+        sums = tuple((d, partials[name][d]) for d in d_probe)
+        floor = 0.0 if name.startswith("band_") else 1.0
+        converges = margin > floor and all(math.isfinite(val) for _, val in sums)
+        records.append(ConditionRecord(name, sums, "converges" if converges else "diverges", float(margin)))
     return ConditionReport(records=tuple(records))

@@ -151,12 +151,6 @@ class ExperimentConfig:
     output: OutputBlock
     variants: tuple
 
-    def variant(self, name: str) -> VariantBlock:
-        for v in self.variants:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     def digest(self) -> str:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 

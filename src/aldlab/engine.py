@@ -221,8 +221,8 @@ def _run_block(
                 rng.standard_normal(out=noise)
                 noise *= noise_std
                 xt += noise.T
-                if not np.isfinite(xt, out=finite).all():
-                    row = int(np.flatnonzero(~finite.all(axis=0))[0])
+                if not np.isfinite(xt, out=finite)[:, :n_rows].all():
+                    row = int(np.flatnonzero(~finite[:, :n_rows].all(axis=0))[0])
                     raise ChainDivergenceError(chain=block * BLOCK_SIZE + row, step=k)
                 if (k + 1) in checkpoints:
                     saved[k + 1] = xt[:, :n_rows].T.copy()

@@ -542,8 +542,7 @@ def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
 
 def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_probe=(100, 1000, 10000)):
     tgt = cfg.target
-    offs = tgt.mean_offsets
-    gap = max(offs) - min(offs) if len(offs) > 1 else 0.0
+    gap = max(tgt.mean_offsets) - min(tgt.mean_offsets)
     # the conditions are dimension-free; d = 1 only reads the variant's numerics
     ald = build_ald_config(cfg, variant, 1)
     pert = ald.perturbation or MixturePerturbation()

@@ -45,6 +45,12 @@ def fig3_target(d):
     )
 
 
+def variant_named(cfg, name):
+    """The ``[variant name]`` block of a parsed config."""
+    (found,) = (v for v in cfg.variants if v.name == name)
+    return found
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250809)

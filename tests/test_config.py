@@ -7,6 +7,7 @@ from aldlab.config import (
     parse_config_text,
 )
 from aldlab.cli import main
+from conftest import variant_named
 
 MINIMAL = """
 [experiment]
@@ -125,7 +126,7 @@ def test_target_spectrum_checked_at_parse_time(line, key):
 
 def test_signed_perturbation_scale_parses():
     cfg = parse_config_text(solo("drift = misspecified", "dsigma_scale = -0.1", "dsigma_exponent = 3.5"))
-    assert cfg.variant("solo").dsigma_scale == -0.1
+    assert variant_named(cfg, "solo").dsigma_scale == -0.1
 
 
 def test_removed_init_options_rejected():

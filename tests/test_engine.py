@@ -29,6 +29,18 @@ def single_gaussian(d=1, var=1.0):
     return build_truncated_mixture((1.0,), [0.0], [PowerLaw(var)], d)
 
 
+def far_init_config():
+    """A rare far init component, which the unstable step (dt/v = 1000) grows 1000x per step."""
+    init = DiagGMM(weights=(0.999, 0.001), means=[[0.0], [1e140]], variances=[[1e-2], [1e-2]])
+    return ALDConfig(
+        dim=1,
+        schedule=make_schedule(12, 1.0, 1e-9),
+        gamma=PowerLaw(1.0),
+        c_base=PowerLaw(1e-9),
+        init_mixture=init,
+    )
+
+
 def one_step(
     target,
     drift_mode="exact",
@@ -342,23 +354,28 @@ class TestRunChains:
         assert err.value.step >= 0 and err.value.chain >= 0
 
     def test_divergence_in_second_block_names_chain_and_step(self):
-        # block 1 draws a chain from the far init component, which the unstable
-        # step (dt/v = 1000) grows 1000x per step until its square overflows;
-        # block 0 draws none and finishes. The einsum kernel this replaced
-        # reported the same chain and step.
+        # block 1 draws a chain from the far init component, which grows until
+        # its square overflows; block 0 draws none and finishes. The einsum
+        # kernel this replaced reported the same chain and step.
         g = single_gaussian(d=1, var=1e-3)
-        init = DiagGMM(weights=(0.999, 0.001), means=[[0.0], [1e140]], variances=[[1e-2], [1e-2]])
-        cfg = ALDConfig(
-            dim=1,
-            schedule=make_schedule(12, 1.0, 1e-9),
-            gamma=PowerLaw(1.0),
-            c_base=PowerLaw(1e-9),
-            init_mixture=init,
-        )
+        cfg = far_init_config()
         with pytest.raises(ChainDivergenceError) as err:
             run_chains(cfg, g, 700, seed=11)
         assert (err.value.chain, err.value.step) == (545, 5)
         run_chains(cfg, g, 512, seed=11)  # block 0 alone stays finite
+
+    def test_only_requested_chains_can_diverge(self):
+        # with seed 4 the lowest chain drawn from the far component is 914 (row
+        # 402 of block 1): a run that stops short of it finishes, although that
+        # padding column goes non-finite, and a run that includes it names it
+        g = single_gaussian(d=1, var=1e-3)
+        cfg = far_init_config()
+        for n in (600, 700, 914):
+            assert np.isfinite(run_chains(cfg, g, n, seed=4).samples).all()
+        for n in (915, 1024):
+            with pytest.raises(ChainDivergenceError) as err:
+                run_chains(cfg, g, n, seed=4)
+            assert (err.value.chain, err.value.step) == (914, 5)
 
     def test_blas_threads_do_not_change_bits(self, tmp_path):
         # two blocks of 700 chains give the same bits on one BLAS thread and on two

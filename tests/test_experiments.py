@@ -27,6 +27,7 @@ from aldlab.experiments import (
     run_knn_robustness,
     steps_to_accuracy,
 )
+from conftest import variant_named
 
 TINY_FIG2 = """
 [experiment]
@@ -64,7 +65,7 @@ cbase_scale = 1.0
 """
 
 
-TINY_GREEN = parse_config_text(TINY_FIG2).variant("green")
+TINY_GREEN = variant_named(parse_config_text(TINY_FIG2), "green")
 
 
 def tiny_cfg(tmp_path, text=TINY_FIG2, name="out"):
@@ -151,7 +152,7 @@ class TestSweepExperiment:
         # a run killed inside savez_compressed must not leave a partial batch
         # under the name that later cells and the robustness study load
         cfg = tiny_cfg(tmp_path, name="torn")
-        green = cfg.variant("green")
+        green = variant_named(cfg, "green")
 
         def torn(path, **arrays):
             with open(path, "wb") as fh:
@@ -483,7 +484,7 @@ class TestBoundsReport:
         # a negative covariance shift shrinks the score's variances, so the
         # score-moment and initialization series grow; the sign must survive
         cfg = load_config("configs/fig3.cfg")
-        plus = cfg.variant("admissible")
+        plus = variant_named(cfg, "admissible")
         minus = replace(plus, name="minus", dsigma_scale=-0.1)
         cfg = replace(
             cfg,
