@@ -66,7 +66,7 @@ print("budget lines: init", round(budget.e_init, 6),
 # Summability diagnostics behind the dimension-uniformity claims.
 report = condition_report(
     (0.75, 0.25), sigma_exponent=1.25, sigma_scales=(1.2, 2.0),
-    smooth=PowerLaw(40.0, 2.7), gamma=PowerLaw(1.0, 1.5), mean_gap_sq=100.0,
+    smooth=PowerLaw(40.0, 2.7), gamma=PowerLaw(1.0, 1.5), mean_offsets=(0.0, 10.0),
 )
 print("\ncondition verdicts (tailored spectra):")
 for rec in report.records:

@@ -116,28 +116,33 @@ def condition_report(
     dmean: PowerLaw = PowerLaw(0.0),
     dsigma: PowerLaw = PowerLaw(0.0),
     weights_tilde=None,
-    mean_gap_sq: float = 0.0,
+    mean_offsets=(),
     d_probe=(100, 1000, 10000),
 ) -> ConditionReport:
     """Evaluate every summability condition for power-law spectra.
 
     ``smooth`` must be the *effective* smoothing spectrum (initial level times
     the base spectrum); ``sigma_scales`` are the per-component variance
-    multipliers on the common ``j**(-sigma_exponent)`` shape. Component 1 sits
-    at the origin and every other one at squared distance ``mean_gap_sq`` in
-    coordinate 1; all carry the same ``dmean`` and ``dsigma``. The terms are
-    evaluated in slabs of coordinates, which bounds the memory.
+    multipliers on the common ``j**(-sigma_exponent)`` shape. Component i's
+    mean is ``mean_offsets[i]`` on coordinate 1 and zero elsewhere, as the
+    target places it; empty puts every mean at the origin. All components
+    carry the same ``dmean`` and ``dsigma``. The terms are evaluated in slabs
+    of coordinates, which bounds the memory.
     """
     w = np.asarray(weights, dtype=float)
     taus = np.asarray(sigma_scales, dtype=float)
     if taus.shape != w.shape:
         raise ConditionError("need one sigma scale per weight")
+    offsets = np.asarray(mean_offsets, dtype=float)
+    if offsets.size and offsets.shape != w.shape:
+        raise ConditionError("need one mean offset per weight")
     d_probe = tuple(int(d) for d in d_probe)
     if not d_probe or any(d < 1 for d in d_probe):
         raise ConditionError("d_probe must list positive dimensions")
     k, dmax = w.size, max(d_probe)
     means = np.zeros((k, dmax))
-    means[1:, 0] = math.sqrt(mean_gap_sq)
+    if offsets.size:
+        means[:, 0] = offsets
     try:
         full = BoundInputs(
             weights=w,

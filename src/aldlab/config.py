@@ -21,15 +21,17 @@ its ``*_scale`` and ``*_exponent`` keys; exponent 0, the default, is a
 constant spectrum. The preconditioner and smoothing scales must be positive
 and no exponent may be negative; a perturbation scale may have either sign.
 A variant's perturbation keys (``dsigma_scale``, ``dmean_scale``,
-``dweights``) need ``drift = misspecified``, and ``init_weights`` needs
-``init = custom_weights``: a key the variant would ignore is an error. Values
-are typed per key (int, float, str, bool, or comma-separated lists). ``#``
-starts a comment.
+``dweights``) need ``drift = misspecified``: a key the variant would ignore
+is an error. A non-empty ``init_weights`` (one weight per component) starts
+the chains from the smoothed target with those weights instead of the
+smoothed target itself. Each component's mean offset sits on coordinate 1,
+and the step search stops at the largest ``step_grid`` point. Values are
+typed per key (int, float, str, or comma-separated lists). ``#`` starts a
+comment.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
@@ -51,15 +53,6 @@ class ConfigError(ValueError):
     """Raised for malformed or unknown configuration content."""
 
 
-def _to_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
 def _to_float_list(s: str) -> tuple:
     return tuple(float(tok) for tok in s.split(",") if tok.strip())
 
@@ -73,17 +66,15 @@ class TargetBlock:
     """Mixture family: weights, sparse mean offsets, one power-law variance shape."""
 
     weights: tuple[float, ...] = (0.75, 0.25)
-    mean_offsets: tuple[float, ...] = (0.0, 10.0)  # per-component scalar placed at mean_coord
-    mean_coord: int = 1
+    mean_offsets: tuple[float, ...] = (0.0, 10.0)  # per-component scalar placed at coordinate 1
     var_exponent: float = 1.25
-    var_scale: float = 1.0
     var_scales: tuple[float, ...] = (1.0, 1.0)  # per-component tau multipliers
 
     def mean_rules(self) -> list:
-        return [{self.mean_coord: off} if off else 0.0 for off in self.mean_offsets]
+        return [{1: off} if off else 0.0 for off in self.mean_offsets]
 
     def var_specs(self) -> list:
-        return [PowerLaw(self.var_scale, self.var_exponent)] * len(self.weights)
+        return [PowerLaw(1.0, self.var_exponent)] * len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,6 @@ class SamplingBlock:
 class SweepBlock:
     d_values: tuple[int, ...] = ()
     epsilon: float = 0.3
-    step_cap: int = 20000
     step_grid: tuple[int, ...] = DEFAULT_STEP_GRID
 
 
@@ -118,7 +108,6 @@ class SweepBlock:
 class OutputBlock:
     csv: str = "results.csv"
     plot_script: str = ""
-    log_floor: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -136,7 +125,6 @@ class VariantBlock:
     dmean_scale: float = 0.0
     dmean_exponent: float = 0.0
     dweights: tuple[float, ...] = ()
-    init: str = "exact_smoothed"
     init_weights: tuple[float, ...] = ()
 
 
@@ -151,9 +139,6 @@ class ExperimentConfig:
     output: OutputBlock
     variants: tuple
 
-    def digest(self) -> str:
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
-
 
 _BLOCK_TYPES = {
     "target": TargetBlock,
@@ -167,7 +152,6 @@ _PARSERS = {
     int: int,
     float: float,
     str: str,
-    bool: _to_bool,
     tuple[float, ...]: _to_float_list,
     tuple[int, ...]: _to_int_list,
 }
@@ -284,8 +268,6 @@ def _validate(kind, blocks, variants, source):
         raise ConfigError(f"{source}: d values must be strictly increasing")
     if not sweep.epsilon > 0:
         raise ConfigError(f"{source}: epsilon must be positive")
-    if sweep.step_grid and sweep.step_cap < min(sweep.step_grid):
-        raise ConfigError(f"{source}: step cap below the smallest search grid point")
     tgt = blocks["target"]
     k = len(tgt.weights)
     if abs(sum(tgt.weights) - 1.0) > 1e-12 or any(w <= 0 for w in tgt.weights):
@@ -294,9 +276,8 @@ def _validate(kind, blocks, variants, source):
         raise ConfigError(f"{source}: target blocks must have one entry per component")
     if not (tgt.var_exponent >= 0 and math.isfinite(tgt.var_exponent)):
         raise ConfigError(f"{source}: target var_exponent must be finite and >= 0")
-    for key, values in (("var_scale", (tgt.var_scale,)), ("var_scales", tgt.var_scales)):
-        if not all(v > 0 and math.isfinite(v) for v in values):
-            raise ConfigError(f"{source}: target {key} must be finite and positive")
+    if not all(v > 0 and math.isfinite(v) for v in tgt.var_scales):
+        raise ConfigError(f"{source}: target var_scales must be finite and positive")
     samp = blocks["sampling"]
     if samp.n_chains < 1 or samp.n_target_samples < 2 or samp.repeats < 1:
         raise ConfigError(f"{source}: sampling sizes must be positive")
@@ -306,15 +287,8 @@ def _validate(kind, blocks, variants, source):
     for v in variants:
         if v.drift not in ("exact", "misspecified", "ideal_corrected"):
             raise ConfigError(f"{source}: variant {v.name!r} has unknown drift {v.drift!r}")
-        if v.init not in ("exact_smoothed", "custom_weights"):
-            raise ConfigError(f"{source}: variant {v.name!r} has unknown init {v.init!r}")
-        if v.init == "custom_weights" and len(v.init_weights) != k:
+        if v.init_weights and len(v.init_weights) != k:
             raise ConfigError(f"{source}: variant {v.name!r} needs init_weights per component")
-        if v.init != "custom_weights" and v.init_weights:
-            raise ConfigError(
-                f"{source}: variant {v.name!r} sets init_weights but its init is "
-                f"{v.init!r}; init_weights needs init = custom_weights"
-            )
         for key in ("gamma_scale", "cbase_scale"):
             if not getattr(v, key) > 0:
                 raise ConfigError(f"{source}: variant {v.name!r} {key} must be positive")
@@ -354,7 +328,7 @@ def apply_ci_profile(cfg: ExperimentConfig) -> ExperimentConfig:
     (d <= 25; d <= 12 for the step-search experiment). For the fixed-length
     experiments the step count drops to 2000 with dt scaled up to preserve
     the continuous time horizon; the step-search experiment keeps its step
-    grid and cap untouched, since step counts are its measurement.
+    grid untouched, since step counts are its measurement.
     """
     sched = cfg.schedule
     sweep = cfg.sweep

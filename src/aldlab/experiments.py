@@ -166,7 +166,7 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
     pert = variant_perturbation(variant, target.n_components)
 
     init_mixture = None
-    if variant.init == "custom_weights":
+    if variant.init_weights:
         base = DiagGMM(weights=variant.init_weights, means=target.means, variances=target.variances)
         init_mixture = smooth(base, c_base, sched.theta0)
     return ALDConfig(
@@ -252,7 +252,6 @@ class CellResult:
     kl: float
     diverged: bool
     wall_time_s: float
-    digest: str
 
 
 def run_cell(
@@ -309,7 +308,6 @@ def run_cell(
         kl=float(kl),
         diverged=diverged,
         wall_time_s=wall,
-        digest=digest,
     )
     if cache:
         os.makedirs(cdir, exist_ok=True)
@@ -406,10 +404,11 @@ def steps_to_accuracy(
 
     Walks the geometric grid upward until the accuracy is met, then bisects
     between the bracketing grid points (to within 5% or one step). Returns
-    ``(steps, mean_kl)`` where steps is an int or "cap_exceeded".
+    ``(steps, mean_kl)`` where steps is an int, or "cap_exceeded" when even
+    the largest grid point misses the accuracy.
     """
     eps = cfg.sweep.epsilon
-    grid = sorted(n for n in set(cfg.sweep.step_grid) | {cfg.sweep.step_cap} if n <= cfg.sweep.step_cap)
+    grid = sorted(set(cfg.sweep.step_grid))
     if not grid:
         raise ExperimentError("empty step grid")
     lo = None  # largest failing N
@@ -542,7 +541,6 @@ def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
 
 def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_probe=(100, 1000, 10000)):
     tgt = cfg.target
-    gap = max(tgt.mean_offsets) - min(tgt.mean_offsets)
     # the conditions are dimension-free; d = 1 only reads the variant's numerics
     ald = build_ald_config(cfg, variant, 1)
     pert = ald.perturbation or MixturePerturbation()
@@ -551,13 +549,13 @@ def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_pro
     return condition_report(
         tgt.weights,
         sigma_exponent=tgt.var_exponent,
-        sigma_scales=tuple(tgt.var_scale * s for s in tgt.var_scales),
+        sigma_scales=tgt.var_scales,
         smooth=PowerLaw(ald.schedule.theta0 * ald.c_base.scale, ald.c_base.exponent),
         gamma=ald.gamma,
         dmean=(pert.dmeans or zero)[0],
         dsigma=(pert.dvars or zero)[0],
         weights_tilde=np.asarray(tgt.weights) + pert.weight_shifts(len(tgt.weights)),
-        mean_gap_sq=gap * gap,
+        mean_offsets=tgt.mean_offsets,
         d_probe=d_probe,
     )
 
@@ -625,15 +623,16 @@ _CONSTANTS_BEGIN = "# --- constants (rewritten by emit_plot_script) ---\n"
 _CONSTANTS_END = "# --- end constants ---\n"
 
 
-def emit_plot_script(rows, path: str, csv_path: str, log_floor: float = 1e-4) -> None:
+def emit_plot_script(rows, path: str, csv_path: str) -> None:
     """Write a self-contained script that re-plots the CSV.
 
     The script is ``plot_template.py`` with its constants block filled in; it
     needs only the standard library and matplotlib, and only drawing needs
     matplotlib: its ``series()`` reads the CSV and returns what is drawn, and
-    can be imported without it. The floor is applied only to non-positive
-    estimates, and only because the y axis is logarithmic; a diverged (NaN)
-    mean stays NaN and leaves a gap. The CSV itself keeps raw values.
+    can be imported without it. The template's ``LOG_FLOOR`` is applied only
+    to non-positive estimates, and only because the y axis is logarithmic; a
+    diverged (NaN) mean stays NaN and leaves a gap. The CSV itself keeps raw
+    values.
     """
     ks = sorted({r.k for r in rows})
     if len(ks) > 1:
@@ -648,7 +647,6 @@ def emit_plot_script(rows, path: str, csv_path: str, log_floor: float = 1e-4) ->
     constants = [
         f"CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), {rel_csv!r})",
         f"VARIANTS = {variants!r}",
-        f"LOG_FLOOR = {log_floor!r}",
         f"TITLE = {' / '.join(experiments)!r}",
         f"STEPS_MODE = {steps_mode!r}",
     ]
@@ -681,5 +679,5 @@ def run_experiment(cfg: ExperimentConfig, workers=None, cache: bool = True) -> l
     rows = runner(cfg, workers=workers, cache=cache)
     emit_csv(rows, cfg.output.csv)
     if cfg.output.plot_script:
-        emit_plot_script(rows, cfg.output.plot_script, cfg.output.csv, cfg.output.log_floor)
+        emit_plot_script(rows, cfg.output.plot_script, cfg.output.csv)
     return rows

@@ -17,12 +17,12 @@ from collections import defaultdict
 # --- constants (rewritten by emit_plot_script) ---
 CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results.csv")
 VARIANTS = []
-LOG_FLOOR = 1e-4
 TITLE = ""
 STEPS_MODE = False
 # --- end constants ---
 
 CAPPED = " (cap exceeded)"
+LOG_FLOOR = 1e-4  # non-positive mean estimates are drawn here on the log axis
 
 
 def _steps_series(rows):

@@ -417,19 +417,19 @@ def test_c11_condition_report_verdicts():
     probe = (100, 1000, 10000)
     green = al.condition_report((0.75, 0.25), sigma_exponent=1.25,
                                 sigma_scales=(1.2, 2.0), smooth=al.PowerLaw(40.0, 2.7),
-                                gamma=al.PowerLaw(1.0, 1.5), mean_gap_sq=100.0,
+                                gamma=al.PowerLaw(1.0, 1.5), mean_offsets=(0.0, 10.0),
                                 d_probe=probe)
     red = al.condition_report((0.75, 0.25), sigma_exponent=1.25,
                               sigma_scales=(1.2, 2.0), smooth=al.PowerLaw(40.0, 0.0),
-                              gamma=al.PowerLaw(1.0, 0.0), mean_gap_sq=100.0,
+                              gamma=al.PowerLaw(1.0, 0.0), mean_offsets=(0.0, 10.0),
                               d_probe=probe)
     adm = al.condition_report((0.75, 0.25), sigma_exponent=2.0, sigma_scales=(1.0, 1.0),
                               smooth=al.PowerLaw(40.0, 4.0), gamma=al.PowerLaw(1.0, 3.5),
-                              dsigma=al.PowerLaw(0.1, 3.5), mean_gap_sq=100.0,
+                              dsigma=al.PowerLaw(0.1, 3.5), mean_offsets=(0.0, 10.0),
                               d_probe=probe)
     non = al.condition_report((0.75, 0.25), sigma_exponent=2.0, sigma_scales=(1.0, 1.0),
                               smooth=al.PowerLaw(40.0, 4.0), gamma=al.PowerLaw(1.0, 1.0),
-                              dsigma=al.PowerLaw(0.1, 3.5), mean_gap_sq=100.0,
+                              dsigma=al.PowerLaw(0.1, 3.5), mean_offsets=(0.0, 10.0),
                               d_probe=probe)
     verdict_ok = (
         green["suff_kd"].verdict == "converges"

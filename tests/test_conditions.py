@@ -34,14 +34,14 @@ FIG2_GREEN = dict(
     sigma_scales=(1.2, 2.0),
     smooth=PowerLaw(40.0, 2.7),
     gamma=PowerLaw(1.0, 1.5),
-    mean_gap_sq=100.0,
+    mean_offsets=(0.0, 10.0),
 )
 FIG2_RED = dict(
     sigma_exponent=1.25,
     sigma_scales=(1.2, 2.0),
     smooth=PowerLaw(40.0, 0.0),
     gamma=PowerLaw(1.0, 0.0),
-    mean_gap_sq=100.0,
+    mean_offsets=(0.0, 10.0),
 )
 
 
@@ -62,7 +62,7 @@ def fig3_kwargs(gamma_exponent):
         smooth=PowerLaw(40.0, 4.0),
         gamma=PowerLaw(1.0, gamma_exponent),
         dsigma=PowerLaw(0.1, 3.5),
-        mean_gap_sq=100.0,
+        mean_offsets=(0.0, 10.0),
     )
 
 
@@ -169,6 +169,12 @@ class TestSignedPerturbation:
         kw["dsigma"] = PowerLaw(-1.0, 3.5)  # sigma_1 + dsigma_1 = 0
         message = "perturbed variance of component 1, coordinate 1 is not positive"
         with pytest.raises(ConditionError, match=message):
+            condition_report((0.75, 0.25), **kw)
+
+    @pytest.mark.parametrize("offsets", [(10.0,), (0.0, 10.0, 20.0)])
+    def test_mean_offsets_need_one_per_weight(self, offsets):
+        kw = dict(FIG2_GREEN, mean_offsets=offsets)
+        with pytest.raises(ConditionError, match="one mean offset per weight"):
             condition_report((0.75, 0.25), **kw)
 
 
@@ -287,11 +293,13 @@ def random_fig3_variants(n, seed=0):
 
 
 def link_cases():
-    shipped = [
-        (cfg, variant)
-        for cfg in (load_config(f"configs/{name}.cfg") for name in ("bounds", "fig1", "fig3"))
-        for variant in cfg.variants
-    ]
+    configs = [load_config(f"configs/{name}.cfg") for name in ("bounds", "fig1", "fig3")]
+    # a three-component bounds.cfg: every pair of components has its own mean gap
+    three = replace(
+        configs[0].target, weights=(0.5, 0.25, 0.25), mean_offsets=(0.0, 10.0, 20.0), var_scales=(1.2, 2.0, 2.0)
+    )
+    configs.append(replace(configs[0], name="bounds_k3", target=three))
+    shipped = [(cfg, variant) for cfg in configs for variant in cfg.variants]
     return shipped + random_fig3_variants(3)
 
 
@@ -300,16 +308,22 @@ class TestBudgetLink:
         readings = []
         for cfg, variant in link_cases():
             report = variant_condition_report(cfg, variant, d_probe=LINK_D)
-            budgets = []
+            budgets, score_inputs = [], []
             for d in LINK_D:
                 score_in, init_in, sched = _variant_bound_inputs(cfg, variant, d)
                 budgets.append(error_budget(score_in, sched.t_horizon, grid_size=64, init_inputs=init_in))
+                score_inputs.append(score_in)
             label = f"{cfg.name}/{variant.name}"
             kd = report["suff_kd"]
             for d, budget in zip(LINK_D, budgets):
                 assert kd.partial_sum(d) == pytest.approx(budget.kd, rel=1e-12), label
             bias = growth_verdict([(d, b.e_bias) for d, b in zip(LINK_D, budgets)])
             assert bias == kd.verdict, f"{label}: e_bias grows as {bias}, suff_kd {kd.verdict}"
+            # the score second-moment record sums the weight term's own summand, whatever K
+            s1 = report["s1_score_moment"]
+            for d, score_in in zip(LINK_D, score_inputs):
+                terms = bounds._delta1_terms(score_in, *score_in._annealed((0.0, 1.0)), 3.0)
+                assert s1.partial_sum(d) == pytest.approx(terms.max(axis=0).sum(), rel=1e-12), label
             if budgets[-1].e_score_resp == 0.0:
                 continue
             resp = growth_verdict([(d, b.e_score_resp) for d, b in zip(LINK_D, budgets)])

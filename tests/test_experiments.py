@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aldlab import engine, experiments
+from aldlab import engine, experiments, plot_template
 from aldlab.bounds import BoundInputs, error_budget, weight_kl
 from aldlab.config import load_config, parse_config_text
 from aldlab.experiments import (
@@ -214,7 +214,7 @@ class TestSweepExperiment:
             ds, ys = got[variant]
             assert ds == sorted(by_d)
             means = [sum(by_d[d]) / len(by_d[d]) for d in ds]
-            floored = [cfg.output.log_floor if m <= 0 else m for m in means]
+            floored = [plot_template.LOG_FLOOR if m <= 0 else m for m in means]
             assert ys == pytest.approx(floored, rel=1e-12)
 
 
@@ -383,7 +383,6 @@ seed = 11
 [sweep]
 d_values = 1
 epsilon = 0.25
-step_cap = 400
 step_grid = 25, 50, 100, 200, 400
 
 [variant only]
