@@ -9,15 +9,12 @@ import numpy as np
 
 from aldlab import PowerLaw, build_truncated_mixture, smooth
 
-# Two components: weights (0.75, 0.25), means 0 and 10*e_1, variances
-# tau_i * j^(-1.25). The same spectra define every truncation dimension.
+# Two components: weights (0.75, 0.25), means 0 and 10*e_1 (offsets on
+# coordinate 1), variances tau_i * j^(-1.25). The same spectrum defines every
+# truncation dimension.
 spectrum = PowerLaw(1.0, 1.25)
-target5 = build_truncated_mixture(
-    (0.75, 0.25), [0.0, {1: 10.0}], [spectrum, spectrum], d=5, var_scales=(1.2, 2.0)
-)
-target3 = build_truncated_mixture(
-    (0.75, 0.25), [0.0, {1: 10.0}], [spectrum, spectrum], d=3, var_scales=(1.2, 2.0)
-)
+target5 = build_truncated_mixture((0.75, 0.25), (0.0, 10.0), spectrum, d=5, var_scales=(1.2, 2.0))
+target3 = build_truncated_mixture((0.75, 0.25), (0.0, 10.0), spectrum, d=3, var_scales=(1.2, 2.0))
 
 print("component means:\n", target5.means)
 print("component variances:\n", np.round(target5.variances, 4))

@@ -19,8 +19,7 @@ from aldlab import (
 
 d = 5
 target = build_truncated_mixture(
-    (0.75, 0.25), [0.0, {1: 10.0}],
-    [PowerLaw(1.0, 1.25)] * 2, d, var_scales=(1.2, 2.0),
+    (0.75, 0.25), (0.0, 10.0), PowerLaw(1.0, 1.25), d, var_scales=(1.2, 2.0),
 )
 
 # Short horizon so the difference is visible quickly; the shipped configs use

@@ -13,7 +13,6 @@ from .mixture import (
     MixturePerturbation,
     apply_perturbation,
     build_truncated_mixture,
-    mean_rule_to_vector,
     smooth,
 )
 from .engine import (
@@ -80,7 +79,6 @@ __all__ = [
     "knn_kl",
     "knn_kl_multi",
     "make_schedule",
-    "mean_rule_to_vector",
     "ratio_p_moment",
     "run_chains",
     "score_fourth_moment",

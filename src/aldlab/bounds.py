@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WEIGHT_TOL = 1e-12
+from .mixture import WEIGHT_TOL
+
 _BAND = 1.0 / 8.0  # the +-8 ratio moments are finite while every vt/v lies in (7/8, 9/8)
 _GRID_ELEMS = 2**14  # cap on the elements of one block's (G, K, K, d) array in the grid kernel
 
@@ -74,7 +75,7 @@ class BoundInputs:
         if lam.shape != (d,) or gam.shape != (d,):
             raise BoundsError(f"lambdas and gammas must have shape ({d},)")
         for name, vec in (("weights", w), ("weights_tilde", wt)):
-            if np.any(vec <= 0):
+            if not np.all(vec > 0):
                 raise BoundsError(f"{name} must be strictly positive")
             if abs(float(vec.sum()) - 1.0) > WEIGHT_TOL:
                 raise BoundsError(f"{name} must sum to 1 within {WEIGHT_TOL:g}")

@@ -10,7 +10,10 @@ mismatch factor and score second-moment summands (``w1_weights``,
 keeps the worst component and power, and the worse of the fractions 0 and 1
 where it reads both. Band records keep the running sup of ``|vt/v - 1|`` at
 fraction 0. The ``init_*`` records describe an initial law that carries the
-score perturbation, not a weights-only one.
+score perturbation, not a weights-only one. The mixture and its score
+perturbation are built as the experiments build them
+(``build_truncated_mixture``, ``MixturePerturbation``), so the records and
+the budget read the same arrays.
 
 Verdicts come from exponent algebra: a term that decays like ``j**(-e)``, up
 to a log factor, has a finite sum iff ``e > 1``. A zero-scale sequence is
@@ -40,6 +43,7 @@ from .bounds import (
     _tilted_terms,
     _weight_factor,
 )
+from .mixture import MixtureError, MixturePerturbation, build_truncated_mixture
 from .spectra import PowerLaw
 
 
@@ -110,7 +114,7 @@ def condition_report(
     weights,
     *,
     sigma_exponent: float,
-    sigma_scales=(1.0,),
+    sigma_scales=None,
     smooth: PowerLaw,
     gamma: PowerLaw,
     dmean: PowerLaw = PowerLaw(0.0),
@@ -121,40 +125,38 @@ def condition_report(
 ) -> ConditionReport:
     """Evaluate every summability condition for power-law spectra.
 
-    ``smooth`` must be the *effective* smoothing spectrum (initial level times
-    the base spectrum); ``sigma_scales`` are the per-component variance
-    multipliers on the common ``j**(-sigma_exponent)`` shape. Component i's
-    mean is ``mean_offsets[i]`` on coordinate 1 and zero elsewhere, as the
-    target places it; empty puts every mean at the origin. All components
-    carry the same ``dmean`` and ``dsigma``. The terms are evaluated in slabs
-    of coordinates, which bounds the memory.
+    The mixture is the lab's family (``mixture.build_truncated_mixture``) at
+    the largest probe dimension: component i has variances
+    ``sigma_scales[i] * j**(-sigma_exponent)`` (scales default to 1) and
+    mean ``mean_offsets[i]`` on coordinate 1 (empty puts every mean at the
+    origin). Its score model
+    is a ``MixturePerturbation`` with ``dmean`` and ``dsigma``, which every
+    component shares, and the weights ``weights_tilde``. ``smooth`` must be
+    the *effective* smoothing spectrum (initial level times the base
+    spectrum). The terms are evaluated in slabs of coordinates, which bounds
+    the memory.
     """
-    w = np.asarray(weights, dtype=float)
-    taus = np.asarray(sigma_scales, dtype=float)
-    if taus.shape != w.shape:
-        raise ConditionError("need one sigma scale per weight")
-    offsets = np.asarray(mean_offsets, dtype=float)
-    if offsets.size and offsets.shape != w.shape:
-        raise ConditionError("need one mean offset per weight")
     d_probe = tuple(int(d) for d in d_probe)
     if not d_probe or any(d < 1 for d in d_probe):
         raise ConditionError("d_probe must list positive dimensions")
-    k, dmax = w.size, max(d_probe)
-    means = np.zeros((k, dmax))
-    if offsets.size:
-        means[:, 0] = offsets
+    k, dmax = np.size(weights), max(d_probe)
+    offsets = mean_offsets if len(mean_offsets) else np.zeros(k)
     try:
+        target = build_truncated_mixture(
+            weights, offsets, PowerLaw(1.0, sigma_exponent), dmax, var_scales=sigma_scales
+        )
+        pert = MixturePerturbation(dmean=dmean, dvar=dsigma)
         full = BoundInputs(
-            weights=w,
-            weights_tilde=w if weights_tilde is None else weights_tilde,
-            sigma=taus[:, None] * PowerLaw(1.0, sigma_exponent).eigenvalues(dmax),
-            dsigma=np.broadcast_to(dsigma.eigenvalues(dmax), (k, dmax)),
-            dmeans=np.broadcast_to(dmean.eigenvalues(dmax), (k, dmax)),
+            weights=target.weights,
+            weights_tilde=target.weights if weights_tilde is None else weights_tilde,
+            sigma=target.variances,
+            dsigma=pert.var_shifts(k, dmax),
+            dmeans=pert.mean_shifts(k, dmax),
             lambdas=smooth.eigenvalues(dmax),
             gammas=gamma.eigenvalues(dmax),
-            means=means,
+            means=target.means,
         )
-    except BoundsError as err:
+    except (MixtureError, BoundsError) as err:
         raise ConditionError(str(err)) from err
 
     # running sums (sups for the bands) of every term, read at the probe dimensions

@@ -25,9 +25,10 @@ A variant's perturbation keys (``dsigma_scale``, ``dmean_scale``,
 is an error. A non-empty ``init_weights`` (one weight per component) starts
 the chains from the smoothed target with those weights instead of the
 smoothed target itself. Each component's mean offset sits on coordinate 1,
-and the step search stops at the largest ``step_grid`` point. Values are
-typed per key (int, float, str, or comma-separated lists). ``#`` starts a
-comment.
+and the step search stops at the largest ``step_grid`` point (each point is
+a schedule of at least 2 steps). Values are typed per key (int, float, str,
+or comma-separated lists); a float that is not finite is an error where it
+is read. ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-from .spectra import PowerLaw
+from .mixture import WEIGHT_TOL
 
 EXPERIMENT_KINDS = (
     "fig1_steps_to_accuracy",
@@ -53,8 +54,15 @@ class ConfigError(ValueError):
     """Raised for malformed or unknown configuration content."""
 
 
+def _to_float(s: str) -> float:
+    val = float(s)
+    if not math.isfinite(val):
+        raise ConfigError("must be finite")
+    return val
+
+
 def _to_float_list(s: str) -> tuple:
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
+    return tuple(_to_float(tok) for tok in s.split(",") if tok.strip())
 
 
 def _to_int_list(s: str) -> tuple:
@@ -63,18 +71,12 @@ def _to_int_list(s: str) -> tuple:
 
 @dataclass(frozen=True)
 class TargetBlock:
-    """Mixture family: weights, sparse mean offsets, one power-law variance shape."""
+    """The mixture family's four facts, as ``mixture.build_truncated_mixture`` takes them."""
 
     weights: tuple[float, ...] = (0.75, 0.25)
     mean_offsets: tuple[float, ...] = (0.0, 10.0)  # per-component scalar placed at coordinate 1
-    var_exponent: float = 1.25
+    var_exponent: float = 1.25  # the shared variance shape is j**(-var_exponent)
     var_scales: tuple[float, ...] = (1.0, 1.0)  # per-component tau multipliers
-
-    def mean_rules(self) -> list:
-        return [{1: off} if off else 0.0 for off in self.mean_offsets]
-
-    def var_specs(self) -> list:
-        return [PowerLaw(1.0, self.var_exponent)] * len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ _BLOCK_TYPES = {
 
 _PARSERS = {
     int: int,
-    float: float,
+    float: _to_float,
     str: str,
     tuple[float, ...]: _to_float_list,
     tuple[int, ...]: _to_int_list,
@@ -175,7 +177,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     sections: dict = {}
     variant_order: list = []
     current: dict | None = None
-    current_name = ""
+    current_name = where = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -186,7 +188,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
                 vname = header[len("variant"):].strip()
                 if not vname:
                     raise ConfigError(f"{source}:{lineno}: variant section needs a name")
-                current_name = "variant"
+                current_name, where = "variant", f"variant {vname!r}"
                 current = {}
                 sections.setdefault("__variants__", {})[vname] = current
                 variant_order.append(vname)
@@ -195,7 +197,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
                     raise ConfigError(f"{source}:{lineno}: unknown section [{header}]")
                 if header in sections:
                     raise ConfigError(f"{source}:{lineno}: duplicate section [{header}]")
-                current_name = header
+                current_name = where = header
                 current = {}
                 sections[header] = current
             continue
@@ -213,8 +215,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             current[key] = schema[key](value)
-        except ConfigError:
-            raise
+        except ConfigError as exc:  # a parsed value that fails its type's own check
+            raise ConfigError(f"{source}:{lineno}: {where} {key} {exc}, got {value!r}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
 
@@ -268,15 +270,17 @@ def _validate(kind, blocks, variants, source):
         raise ConfigError(f"{source}: d values must be strictly increasing")
     if not sweep.epsilon > 0:
         raise ConfigError(f"{source}: epsilon must be positive")
+    if not sweep.step_grid or min(sweep.step_grid) < 2:
+        raise ConfigError(f"{source}: sweep step_grid must list step counts of at least 2")
     tgt = blocks["target"]
     k = len(tgt.weights)
-    if abs(sum(tgt.weights) - 1.0) > 1e-12 or any(w <= 0 for w in tgt.weights):
+    if abs(sum(tgt.weights) - 1.0) > WEIGHT_TOL or any(w <= 0 for w in tgt.weights):
         raise ConfigError(f"{source}: target weights must be a positive simplex vector")
     if len(tgt.mean_offsets) != k or len(tgt.var_scales) != k:
         raise ConfigError(f"{source}: target blocks must have one entry per component")
-    if not (tgt.var_exponent >= 0 and math.isfinite(tgt.var_exponent)):
+    if not tgt.var_exponent >= 0:
         raise ConfigError(f"{source}: target var_exponent must be finite and >= 0")
-    if not all(v > 0 and math.isfinite(v) for v in tgt.var_scales):
+    if not all(v > 0 for v in tgt.var_scales):
         raise ConfigError(f"{source}: target var_scales must be finite and positive")
     samp = blocks["sampling"]
     if samp.n_chains < 1 or samp.n_target_samples < 2 or samp.repeats < 1:
@@ -302,7 +306,7 @@ def _validate(kind, blocks, variants, source):
             )
         if v.drift == "misspecified" and v.dsigma_scale == 0 and v.dmean_scale == 0 and not v.dweights:
             raise ConfigError(f"{source}: variant {v.name!r} is misspecified but has no perturbation")
-        if v.dweights and (len(v.dweights) != k or abs(sum(v.dweights)) > 1e-12):
+        if v.dweights and (len(v.dweights) != k or abs(sum(v.dweights)) > WEIGHT_TOL):
             raise ConfigError(f"{source}: variant {v.name!r} dweights must sum to 0, one per component")
 
 

@@ -132,20 +132,18 @@ def read_csv_rows(path: str) -> list:
 def build_target(cfg: ExperimentConfig, d: int) -> DiagGMM:
     tgt = cfg.target
     return build_truncated_mixture(
-        tgt.weights, tgt.mean_rules(), tgt.var_specs(), d, var_scales=tgt.var_scales
+        tgt.weights, tgt.mean_offsets, PowerLaw(1.0, tgt.var_exponent), d, var_scales=tgt.var_scales
     )
 
 
-def variant_perturbation(variant: VariantBlock, n_components: int) -> MixturePerturbation | None:
+def variant_perturbation(variant: VariantBlock) -> MixturePerturbation | None:
     if variant.drift != "misspecified":
         return None
-    dvars = ()
-    if variant.dsigma_scale != 0.0:
-        dvars = (PowerLaw(variant.dsigma_scale, variant.dsigma_exponent),) * n_components
-    dmeans = ()
-    if variant.dmean_scale != 0.0:
-        dmeans = (PowerLaw(variant.dmean_scale, variant.dmean_exponent),) * n_components
-    return MixturePerturbation(dweights=variant.dweights, dmeans=dmeans, dvars=dvars)
+    return MixturePerturbation(
+        variant.dweights,
+        PowerLaw(variant.dmean_scale, variant.dmean_exponent),
+        PowerLaw(variant.dsigma_scale, variant.dsigma_exponent),
+    )
 
 
 def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_steps=None) -> ALDConfig:
@@ -162,11 +160,9 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
     )
     gamma = PowerLaw(variant.gamma_scale, variant.gamma_exponent)
     c_base = PowerLaw(variant.cbase_scale, variant.cbase_exponent)
-    target = build_target(cfg, d)
-    pert = variant_perturbation(variant, target.n_components)
-
     init_mixture = None
     if variant.init_weights:
+        target = build_target(cfg, d)
         base = DiagGMM(weights=variant.init_weights, means=target.means, variances=target.variances)
         init_mixture = smooth(base, c_base, sched.theta0)
     return ALDConfig(
@@ -175,7 +171,7 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
         gamma=gamma,
         c_base=c_base,
         drift_mode=variant.drift,
-        perturbation=pert,
+        perturbation=variant_perturbation(variant),
         init_mixture=init_mixture,
     )
 
@@ -544,16 +540,14 @@ def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_pro
     # the conditions are dimension-free; d = 1 only reads the variant's numerics
     ald = build_ald_config(cfg, variant, 1)
     pert = ald.perturbation or MixturePerturbation()
-    # every component shares one perturbation spectrum of each kind, or has none
-    zero = (PowerLaw(0.0),)
     return condition_report(
         tgt.weights,
         sigma_exponent=tgt.var_exponent,
         sigma_scales=tgt.var_scales,
         smooth=PowerLaw(ald.schedule.theta0 * ald.c_base.scale, ald.c_base.exponent),
         gamma=ald.gamma,
-        dmean=(pert.dmeans or zero)[0],
-        dsigma=(pert.dvars or zero)[0],
+        dmean=pert.dmean,
+        dsigma=pert.dvar,
         weights_tilde=np.asarray(tgt.weights) + pert.weight_shifts(len(tgt.weights)),
         mean_offsets=tgt.mean_offsets,
         d_probe=d_probe,

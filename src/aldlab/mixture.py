@@ -1,5 +1,11 @@
 """Diagonal Gaussian mixtures: exact densities, responsibilities, scores, sampling.
 
+``DiagGMM`` holds any diagonal mixture. The lab builds one family of them
+(``build_truncated_mixture``): components that share one power-law variance
+shape, scaled per component, with their means offset on coordinate 1. Its
+misspecified score model (``MixturePerturbation``) shifts the weights and
+moves every component's means and variances by one shared power law per kind.
+
 All density bookkeeping runs in log-space with a log-sum-exp reduction, so
 responsibilities stay accurate even when modes are separated by many standard
 deviations. Mixtures are immutable after construction; every method is a pure
@@ -9,8 +15,8 @@ function and safe to call concurrently. Random sampling takes a caller-owned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +35,12 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     arr = np.array(x, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _first_entry(bad: np.ndarray) -> str:
+    """The first True entry of a (K, d) mask, as 1-indexed component and coordinate."""
+    i, j = map(int, np.argwhere(bad)[0])
+    return f"component {i + 1} at coordinate {j + 1}"
 
 
 @dataclass(frozen=True)
@@ -53,16 +65,16 @@ class DiagGMM:
             raise MixtureError(
                 f"shape mismatch: weights {w.shape}, means {m.shape}, variances {v.shape}"
             )
-        if np.any(w <= 0):
-            raise MixtureError("weights must be strictly positive")
+        if not np.all(w > 0):
+            i = int(np.argmin(w > 0))
+            raise MixtureError(f"weight of component {i + 1} is not positive ({float(w[i])!r})")
         if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
             raise MixtureError(f"weights sum to {float(w.sum())!r}, expected 1 within {WEIGHT_TOL:g}")
-        bad = v < VAR_FLOOR
-        if np.any(bad):
-            i, j = map(int, np.argwhere(bad)[0])
-            raise MixtureError(
-                f"variance of component {i + 1} at coordinate {j + 1} is below {VAR_FLOOR:g}"
-            )
+        for what, arr in (("mean", m), ("variance", v)):
+            if not np.all(np.isfinite(arr)):
+                raise MixtureError(f"{what} of {_first_entry(~np.isfinite(arr))} is not finite")
+        if np.any(v < VAR_FLOOR):
+            raise MixtureError(f"variance of {_first_entry(v < VAR_FLOOR)} is below {VAR_FLOOR:g}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
@@ -247,66 +259,31 @@ def mixture_score(means, variances, log_weights, x) -> np.ndarray:
 # -- construction -------------------------------------------------------
 
 
-def mean_rule_to_vector(rule, d: int) -> np.ndarray:
-    """Expand a mean rule to a length-``d`` vector.
-
-    Accepts a scalar (constant mean), a dict ``{coordinate: value}`` with
-    1-indexed coordinates (sparse rule), or an explicit vector of length
-    at least ``d``.
-    """
-    if isinstance(rule, dict):
-        out = np.zeros(d)
-        for j, val in rule.items():
-            j = int(j)
-            if j < 1:
-                raise MixtureError(f"mean rule coordinate must be >= 1, got {j}")
-            if j <= d:
-                out[j - 1] = float(val)
-        return out
-    if np.isscalar(rule):
-        return np.full(d, float(rule))
-    arr = np.asarray(rule, dtype=float)
-    if arr.ndim != 1 or arr.size < d:
-        raise MixtureError(f"explicit mean vector of length {arr.size} too short for d={d}")
-    return arr[:d].copy()
-
-
 def build_truncated_mixture(
     weights,
-    mean_rules: Sequence,
-    var_specs: Sequence[PowerLaw],
+    mean_offsets,
+    variance: PowerLaw,
     d: int,
-    var_scales: Sequence[float] | None = None,
+    var_scales=None,
 ) -> DiagGMM:
-    """Build the d-coordinate truncation of a diagonal Gaussian mixture.
+    """Build the d-coordinate truncation of the lab's mixture family.
 
-    Each component i has mean ``mean_rules[i]`` expanded to length d and
-    variances ``var_scales[i] * var_specs[i].eigenvalues(d)``. Truncation is
-    consistent: the first coordinates of a deeper truncation match exactly.
+    Component i has mean ``mean_offsets[i]`` on coordinate 1 and zero
+    elsewhere, and variances ``var_scales[i] * variance.eigenvalues(d)``
+    (scales default to 1). Truncation is consistent: the first coordinates
+    of a deeper truncation match exactly.
     """
     if d < 1:
         raise MixtureError(f"dimension must be >= 1, got {d}")
     w = np.asarray(weights, dtype=float)
-    k = w.size
-    if not (len(mean_rules) == len(var_specs) == k):
-        raise MixtureError(
-            f"got {k} weights, {len(mean_rules)} mean rules, {len(var_specs)} variance spectra"
-        )
-    scales = np.ones(k) if var_scales is None else np.asarray(var_scales, dtype=float)
-    means = np.stack([mean_rule_to_vector(rule, d) for rule in mean_rules])
-    variances = np.empty((k, d))
-    for i, spec in enumerate(var_specs):
-        v = scales[i] * spec.eigenvalues(d)
-        if np.any(v < VAR_FLOOR):
-            j = int(np.argmax(v < VAR_FLOOR))
-            raise MixtureError(
-                f"variance eigenvalue of component {i + 1} at coordinate {j + 1} "
-                f"is below {VAR_FLOOR:g}"
-            )
-        variances[i] = v
-    if not np.all(np.isfinite(means)):
-        raise MixtureError("mean rule produced non-finite values")
-    return DiagGMM(weights=w, means=means, variances=variances)
+    offsets = np.asarray(mean_offsets, dtype=float)
+    scales = np.ones(w.shape) if var_scales is None else np.asarray(var_scales, dtype=float)
+    for what, arr in (("mean offset", offsets), ("variance scale", scales)):
+        if arr.shape != w.shape:
+            raise MixtureError(f"need one {what} per weight, got {arr.size} for {w.size} weights")
+    means = np.zeros((w.size, d))
+    means[:, 0] = offsets
+    return DiagGMM(weights=w, means=means, variances=scales[:, None] * variance.eigenvalues(d))
 
 
 def smooth(gmm: DiagGMM, c_spec: PowerLaw, level: float) -> DiagGMM:
@@ -328,26 +305,27 @@ def smooth(gmm: DiagGMM, c_spec: PowerLaw, level: float) -> DiagGMM:
 
 @dataclass(frozen=True)
 class MixturePerturbation:
-    """Additive perturbation (dweights, dmeans, dvars) of a mixture.
+    """Additive perturbation: weight shifts, and one signed power law per kind shared by all components.
 
-    ``dmeans`` and ``dvars`` hold one signed :class:`PowerLaw` per
-    component; an empty tuple means no perturbation of that kind.
+    Every component's means move by ``dmean.eigenvalues(d)`` and its
+    variances by ``dvar.eigenvalues(d)``; the zero power law, the default,
+    leaves that kind unperturbed, and empty ``dweights`` the weights.
     """
 
-    dweights: tuple = field(default_factory=tuple)
-    dmeans: tuple = field(default_factory=tuple)
-    dvars: tuple = field(default_factory=tuple)
+    dweights: tuple = ()
+    dmean: PowerLaw = PowerLaw(0.0)
+    dvar: PowerLaw = PowerLaw(0.0)
 
     def __post_init__(self):
         object.__setattr__(self, "dweights", tuple(float(v) for v in self.dweights))
-        object.__setattr__(self, "dmeans", tuple(self.dmeans))
-        object.__setattr__(self, "dvars", tuple(self.dvars))
 
     def mean_shifts(self, k: int, d: int) -> np.ndarray:
-        return _shifts(self.dmeans, "mean", k, d)
+        """The ``(k, d)`` mean shifts, a read-only view of one row."""
+        return np.broadcast_to(self.dmean.eigenvalues(d), (k, d))
 
     def var_shifts(self, k: int, d: int) -> np.ndarray:
-        return _shifts(self.dvars, "variance", k, d)
+        """The ``(k, d)`` variance shifts, a read-only view of one row."""
+        return np.broadcast_to(self.dvar.eigenvalues(d), (k, d))
 
     def weight_shifts(self, k: int) -> np.ndarray:
         if self.dweights and len(self.dweights) != k:
@@ -355,30 +333,13 @@ class MixturePerturbation:
         return np.asarray(self.dweights, dtype=float) if self.dweights else np.zeros(k)
 
 
-def _shifts(entries: tuple, what: str, k: int, d: int) -> np.ndarray:
-    """The ``(k, d)`` shifts of one kind: a row per component, zeros for ``()``."""
-    if not entries:
-        return np.zeros((k, d))
-    if len(entries) != k:
-        raise MixtureError(f"perturbation has {len(entries)} {what} entries for {k} components")
-    return np.stack([e.eigenvalues(d) for e in entries])
-
-
 def apply_perturbation(gmm: DiagGMM, pert: MixturePerturbation) -> DiagGMM:
     """Return the misspecified mixture (w + dw, m + dm, v + dv)."""
     k, d = gmm.n_components, gmm.dim
-    dw = pert.weight_shifts(k)
-    w = gmm.weights + dw
-    if np.any(w <= 0):
-        i = int(np.argmax(w <= 0))
-        raise MixtureError(f"perturbed weight of component {i + 1} is not positive ({w[i]!r})")
-    if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-        raise MixtureError(f"perturbed weights sum to {float(w.sum())!r}, expected 1")
+    w = gmm.weights + pert.weight_shifts(k)
+    m = gmm.means + pert.mean_shifts(k, d)
     v = gmm.variances + pert.var_shifts(k, d)
-    bad = v < VAR_FLOOR
-    if np.any(bad):
-        i, j = map(int, np.argwhere(bad)[0])
-        raise MixtureError(
-            f"perturbed variance of component {i + 1} at coordinate {j + 1} is not positive"
-        )
-    return DiagGMM(weights=w, means=gmm.means + pert.mean_shifts(k, d), variances=v)
+    try:
+        return DiagGMM(weights=w, means=m, variances=v)
+    except MixtureError as err:
+        raise MixtureError(f"perturbed mixture: {err}") from None

@@ -19,8 +19,8 @@ def fig2_target(d):
     """Two-component target with power-law variances and separated means."""
     return build_truncated_mixture(
         (0.75, 0.25),
-        [0.0, {1: 10.0}],
-        [PowerLaw(1.0, 1.25)] * 2,
+        (0.0, 10.0),
+        PowerLaw(1.0, 1.25),
         d,
         var_scales=(1.2, 2.0),
     )
@@ -29,8 +29,8 @@ def fig2_target(d):
 def fig1_target(d):
     return build_truncated_mixture(
         (0.75, 0.25),
-        [0.0, {1: 10.0}],
-        [PowerLaw(1.0, 2.0)] * 2,
+        (0.0, 10.0),
+        PowerLaw(1.0, 2.0),
         d,
         var_scales=(1.2, 2.0),
     )
@@ -39,8 +39,8 @@ def fig1_target(d):
 def fig3_target(d):
     return build_truncated_mixture(
         (0.75, 0.25),
-        [0.0, {1: 10.0}],
-        [PowerLaw(1.0, 2.0)] * 2,
+        (0.0, 10.0),
+        PowerLaw(1.0, 2.0),
         d,
     )
 

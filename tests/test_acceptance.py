@@ -226,8 +226,8 @@ def test_c03_bound_dominance():
 def test_c04_horizon_constant_end_to_end():
     t0 = time.perf_counter()
     d, eps, dt = 2, 0.3, 9e-3
-    tgt = al.build_truncated_mixture((0.75, 0.25), [0.0, {1: 10.0}],
-                                     [al.PowerLaw(1, 2.0)] * 2, d,
+    tgt = al.build_truncated_mixture((0.75, 0.25), (0.0, 10.0),
+                                     al.PowerLaw(1, 2.0), d,
                                      var_scales=(1.2, 2.0))
     js = np.arange(1, d + 1, dtype=float)
     inp = al.BoundInputs(weights=(0.75, 0.25), weights_tilde=(0.75, 0.25),
@@ -376,8 +376,8 @@ def test_c09_knn_robustness(fig2_ci):
 
 def test_c10_ideal_drift_path_matching():
     t0 = time.perf_counter()
-    tgt = al.build_truncated_mixture((0.75, 0.25), [0.0, {1: 10.0}],
-                                     [al.PowerLaw(1, 1.25)] * 2, 2,
+    tgt = al.build_truncated_mixture((0.75, 0.25), (0.0, 10.0),
+                                     al.PowerLaw(1, 1.25), 2,
                                      var_scales=(1.2, 2.0))
     sched = al.make_schedule(2000, 9e-3, 20.0)
     cb = al.PowerLaw(1, 2.7)

@@ -631,6 +631,14 @@ class TestBoundInputsValidation:
         with pytest.raises(BoundsError):
             simple_inputs(weights=[0.5])
 
+    @pytest.mark.parametrize("key", ["weights", "weights_tilde"])
+    def test_rejects_nan_weight(self, key):
+        # NaN passed both the positivity and the sum check
+        two = dict(weights=[0.5, 0.5], weights_tilde=[0.5, 0.5], sigma=[[1.0], [1.0]],
+                   dsigma=[[0.0], [0.0]], dmeans=[[0.0], [0.0]])
+        with pytest.raises(BoundsError, match=f"^{key} must be strictly positive"):
+            simple_inputs(**dict(two, **{key: [float("nan"), 0.5]}))
+
     def test_rejects_nonpositive_perturbed_variance(self):
         with pytest.raises(BoundsError):
             simple_inputs(dsigma=[[-1.0]])

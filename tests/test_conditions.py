@@ -171,6 +171,14 @@ class TestSignedPerturbation:
         with pytest.raises(ConditionError, match=message):
             condition_report((0.75, 0.25), **kw)
 
+    def test_sigma_scales_default_to_one_per_weight(self):
+        # as in build_truncated_mixture; a one-entry default used to reject every K > 1 call
+        kw = dict(FIG2_GREEN, d_probe=(10, 100))
+        del kw["sigma_scales"]
+        assert condition_report((0.75, 0.25), **kw) == condition_report(
+            (0.75, 0.25), sigma_scales=(1.0, 1.0), **kw
+        )
+
     @pytest.mark.parametrize("offsets", [(10.0,), (0.0, 10.0, 20.0)])
     def test_mean_offsets_need_one_per_weight(self, offsets):
         kw = dict(FIG2_GREEN, mean_offsets=offsets)

@@ -109,7 +109,7 @@ def test_variant_values_checked_at_parse_time(keys, message):
     "line, key",
     [
         ("var_exponent = -1", "var_exponent must be finite and >= 0"),
-        ("var_exponent = inf", "var_exponent must be finite and >= 0"),
+        ("var_exponent = inf", "var_exponent must be finite"),
         ("var_scales = 1.0, 0.0", "var_scales must be finite and positive"),
         ("var_scales = -1.0, 2.0", "var_scales must be finite and positive"),
     ],
@@ -118,6 +118,34 @@ def test_target_spectrum_checked_at_parse_time(line, key):
     # each would otherwise fail only when a cell builds its target
     with pytest.raises(ConfigError, match=f"target {key}"):
         parse_config_text(MINIMAL + f"\n[target]\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "section, line, where",
+    [
+        ("[target]", "weights = nan, 0.25", "target weights"),
+        ("[target]", "mean_offsets = 0.0, nan", "target mean_offsets"),
+        ("[target]", "var_scales = 1.0, inf", "target var_scales"),
+        ("[schedule]", "dt = inf", "schedule dt"),
+        ("[schedule]", "s_half = -inf", "schedule s_half"),
+        ("[sweep]", "epsilon = nan", "sweep epsilon"),
+        ("[variant solo]", "gamma_exponent = nan", "variant 'solo' gamma_exponent"),
+        ("[variant solo]", "dsigma_scale = inf", "variant 'solo' dsigma_scale"),
+    ],
+)
+def test_non_finite_values_rejected_at_parse_time(section, line, where):
+    # a NaN weight or an infinite dt used to parse and reach the reports as nan rows
+    text = f"[experiment]\nkind = fig2_bias_vs_dim\n{section}\n{line}\n"
+    with pytest.raises(ConfigError, match=f"<string>:4: {where} must be finite, got"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("grid", ["1, 10", "-5, 10", "0", ""])
+def test_step_grid_checked_at_parse_time(grid):
+    # each used to parse; the step search then failed at its first schedule
+    bad = MINIMAL + f"\n[sweep]\nstep_grid = {grid}\n"
+    with pytest.raises(ConfigError, match="step_grid must list step counts of at least 2"):
+        parse_config_text(bad)
 
 
 def test_signed_perturbation_scale_parses():

@@ -26,7 +26,7 @@ from conftest import fig2_target
 
 
 def single_gaussian(d=1, var=1.0):
-    return build_truncated_mixture((1.0,), [0.0], [PowerLaw(var)], d)
+    return build_truncated_mixture((1.0,), (0.0,), PowerLaw(var), d)
 
 
 def far_init_config():
@@ -133,9 +133,7 @@ class TestDrifts:
         # one shared init law the two noisy multi-step runs agree bit for bit
         g = fig2_target(2)
         c = PowerLaw(1.0, 4.0)
-        pert = MixturePerturbation(
-            dvars=(PowerLaw(1.0, 3.5),) * 2
-        )
+        pert = MixturePerturbation(dvar=PowerLaw(1.0, 3.5))
         sched = make_schedule(20, 0.05, 20.0)
 
         def run(target, **drift):
@@ -224,9 +222,7 @@ class TestRunChains:
         # drift mixture, bit for bit; ideal_corrected adds theta0*lambda/(2T)
         # to the preconditioner
         g = fig2_target(2)
-        pert = MixturePerturbation(
-            dvars=(PowerLaw(1.0, 3.5),) * 2
-        )
+        pert = MixturePerturbation(dvar=PowerLaw(1.0, 3.5))
         for mode in ("exact", "misspecified", "ideal_corrected"):
             cfg, batch = one_step(g, mode, pert if mode == "misspecified" else None)
             sched = cfg.schedule

@@ -13,11 +13,12 @@ from aldlab import (
     PowerLaw,
     apply_perturbation,
     build_truncated_mixture,
-    mean_rule_to_vector,
     smooth,
 )
 from aldlab.mixture import mixture_score
 from conftest import fig2_target, fig3_target, random_mixture
+
+NAN, INF = float("nan"), float("inf")
 
 
 def component_log_densities(gmm, x):
@@ -48,8 +49,8 @@ class TestBuildTruncatedMixture:
     def test_two_component_power_law(self):
         g = build_truncated_mixture(
             (0.75, 0.25),
-            [0.0, {1: 10.0}],
-            [PowerLaw(1.0, 2.0)] * 2,
+            (0.0, 10.0),
+            PowerLaw(1.0, 2.0),
             3,
             var_scales=(1.2, 2.0),
         )
@@ -58,7 +59,7 @@ class TestBuildTruncatedMixture:
         np.testing.assert_allclose(g.variances[1], [2.0, 0.5, 2.0 / 9.0])
 
     def test_single_standard_gaussian(self):
-        g = build_truncated_mixture((1.0,), [0.0], [PowerLaw(1.0)], 1)
+        g = build_truncated_mixture((1.0,), (0.0,), PowerLaw(1.0), 1)
         assert g.dim == 1 and g.n_components == 1
         assert g.log_density(np.zeros(1)) == pytest.approx(-0.5 * math.log(2 * math.pi))
 
@@ -72,14 +73,28 @@ class TestBuildTruncatedMixture:
         with pytest.raises(MixtureError, match="component 1"):
             DiagGMM(weights=(1.0,), means=[[0.0]], variances=[[0.0]])
 
+    @pytest.mark.parametrize(
+        "weights, means, variances, message",
+        [
+            ((NAN, 0.5), [[0.0], [1.0]], [[1.0], [1.0]], "weight of component 1 is not positive"),
+            ((0.5, NAN), [[0.0], [1.0]], [[1.0], [1.0]], "weight of component 2 is not positive"),
+            ((1.5, -0.5), [[0.0], [1.0]], [[1.0], [1.0]], "weight of component 2 is not positive"),
+            ((0.5, 0.5), [[0.0], [INF]], [[1.0], [1.0]], "mean of component 2 at coordinate 1 is not finite"),
+            ((0.5, 0.5), [[NAN], [1.0]], [[1.0], [1.0]], "mean of component 1 at coordinate 1 is not finite"),
+            ((0.5, 0.5), [[0.0], [1.0]], [[1.0], [NAN]], "variance of component 2 at coordinate 1 is not finite"),
+            ((0.5, 0.5), [[0.0], [1.0]], [[INF], [1.0]], "variance of component 1 at coordinate 1 is not finite"),
+        ],
+        ids=["nan_weight_1", "nan_weight_2", "negative_weight", "inf_mean", "nan_mean", "nan_variance", "inf_variance"],
+    )
+    def test_rejects_non_finite_or_nonpositive_entries(self, weights, means, variances, message):
+        # NaN weights, means and variances used to pass every check, and an infinite mean or variance too
+        with pytest.raises(MixtureError, match=message):
+            DiagGMM(weights=weights, means=means, variances=variances)
 
-def test_mean_rule_forms():
-    np.testing.assert_allclose(mean_rule_to_vector(0.0, 3), [0, 0, 0])
-    np.testing.assert_allclose(mean_rule_to_vector({1: 10.0}, 3), [10, 0, 0])
-    np.testing.assert_allclose(mean_rule_to_vector({5: 2.0}, 3), [0, 0, 0])
-    np.testing.assert_allclose(mean_rule_to_vector([1.0, 2.0, 3.0], 2), [1, 2])
-    with pytest.raises(MixtureError):
-        mean_rule_to_vector([1.0], 2)
+    @pytest.mark.parametrize("offsets, scales", [((0.0,), None), ((0.0, 10.0), (1.0,))], ids=["offsets", "scales"])
+    def test_rejects_one_entry_per_weight_mismatch(self, offsets, scales):
+        with pytest.raises(MixtureError, match="need one (mean offset|variance scale) per weight"):
+            build_truncated_mixture((0.75, 0.25), offsets, PowerLaw(1.0), 2, var_scales=scales)
 
 
 class TestSmooth:
@@ -88,7 +103,7 @@ class TestSmooth:
         assert smooth(g, PowerLaw(40.0), 0.0) is g
 
     def test_variance_addition(self):
-        g = build_truncated_mixture((1.0,), [0.0], [PowerLaw(1.0)], 1)
+        g = build_truncated_mixture((1.0,), (0.0,), PowerLaw(1.0), 1)
         s = smooth(g, PowerLaw(40.0), 1.0)
         assert s.variances[0, 0] == pytest.approx(41.0)
 
@@ -109,7 +124,7 @@ class TestSmooth:
 
 class TestLogDensity:
     def test_standard_gaussian_origin(self):
-        g = build_truncated_mixture((1.0,), [0.0], [PowerLaw(1.0)], 1)
+        g = build_truncated_mixture((1.0,), (0.0,), PowerLaw(1.0), 1)
         assert g.log_density(np.zeros(1)) == pytest.approx(-0.918938533204672742, rel=1e-12)
 
     def test_degenerate_mixture_matches_single(self, rng):
@@ -147,7 +162,7 @@ class TestLogDensity:
 
 class TestResponsibilities:
     def test_single_component(self):
-        g = build_truncated_mixture((1.0,), [0.0], [PowerLaw(1.0)], 2)
+        g = build_truncated_mixture((1.0,), (0.0,), PowerLaw(1.0), 2)
         np.testing.assert_allclose(g.responsibilities(np.zeros(2)), [1.0])
 
     def test_symmetric_midpoint(self):
@@ -157,8 +172,8 @@ class TestResponsibilities:
     def test_mode_two_dominates_at_its_mean(self):
         g = build_truncated_mixture(
             (0.75, 0.25),
-            [0.0, {1: 10.0}],
-            [PowerLaw(1.0, 2.0)] * 2,
+            (0.0, 10.0),
+            PowerLaw(1.0, 2.0),
             2,
             var_scales=(1.2, 2.0),
         )
@@ -182,7 +197,7 @@ class TestResponsibilities:
 
 class TestScore:
     def test_single_gaussian(self):
-        g = build_truncated_mixture((1.0,), [0.0], [PowerLaw(1.0)], 1)
+        g = build_truncated_mixture((1.0,), (0.0,), PowerLaw(1.0), 1)
         np.testing.assert_allclose(g.score(np.array([2.0])), [-2.0])
 
     def test_symmetry_zero(self):
@@ -204,7 +219,7 @@ class TestScore:
 
 class TestSample:
     def test_moments_single_gaussian(self):
-        g = build_truncated_mixture((1.0,), [0.0], [PowerLaw(1.0)], 1)
+        g = build_truncated_mixture((1.0,), (0.0,), PowerLaw(1.0), 1)
         pts = g.sample(100_000, np.random.default_rng(5))
         assert abs(pts.mean()) < 4.0 / math.sqrt(100_000)
         assert abs(pts.var() - 1.0) < 0.05
@@ -217,7 +232,7 @@ class TestSample:
         assert pts.shape == (100_000, 2)
 
     def test_degenerate_weight_is_direct_gaussian(self):
-        g = build_truncated_mixture((1.0,), [{1: 3.0}], [PowerLaw(2.0)], 2)
+        g = build_truncated_mixture((1.0,), (3.0,), PowerLaw(2.0), 2)
         a = g.sample(50, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         rng.random(50)  # component draw happens first
@@ -263,23 +278,21 @@ class TestPerturbation:
 
     def test_covariance_power_law(self):
         g = fig2_target(2)
-        p = MixturePerturbation(
-            dvars=(PowerLaw(1.0, 3.5),) * 2
-        )
+        p = MixturePerturbation(dvar=PowerLaw(1.0, 3.5))
         out = apply_perturbation(g, p)
         np.testing.assert_allclose(out.variances - g.variances, [[1.0, 2.0**-3.5]] * 2)
 
     def test_rejects_bad_weights(self):
         g = fig2_target(2)
-        with pytest.raises(MixtureError, match="component 1"):
+        with pytest.raises(MixtureError, match="perturbed mixture: .*component 1"):
             apply_perturbation(g, MixturePerturbation(dweights=(-0.9, 0.9)))
-        with pytest.raises(MixtureError, match="sum"):
+        with pytest.raises(MixtureError, match="perturbed mixture: .*sum"):
             apply_perturbation(g, MixturePerturbation(dweights=(0.1, 0.0)))
 
     def test_rejects_nonpositive_variance(self):
-        g = build_truncated_mixture((1.0,), [0.0], [PowerLaw(0.5)], 2)
-        pert = MixturePerturbation(dvars=(PowerLaw(-0.5),))
-        with pytest.raises(MixtureError, match="coordinate 1"):
+        g = build_truncated_mixture((1.0,), (0.0,), PowerLaw(0.5), 2)
+        pert = MixturePerturbation(dvar=PowerLaw(-0.5))
+        with pytest.raises(MixtureError, match="perturbed mixture: .*component 1 at coordinate 1"):
             apply_perturbation(g, pert)
 
 

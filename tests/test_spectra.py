@@ -53,7 +53,7 @@ def test_positivity_enforced():
         with pytest.raises(EngineError, match="must be positive"):
             ALDConfig(dim=2, schedule=sched, gamma=PowerLaw(1.0), c_base=bad)
         with pytest.raises(MixtureError, match="component 1 at coordinate 1"):
-            build_truncated_mixture((1.0,), [0.0], [bad], 2)
+            build_truncated_mixture((1.0,), (0.0,), bad, 2)
         with pytest.raises(ConditionError, match="must be positive"):
             condition_report((1.0,), sigma_exponent=1.0, smooth=PowerLaw(1.0), gamma=bad)
         with pytest.raises(ConditionError, match="must be positive"):
