@@ -12,13 +12,28 @@ so the run starts at level ``2S`` and the final state sits at level 0.
 
 Chains are deterministic given ``(seed, chain index, config)``: chains are
 grouped into fixed-size blocks and block ``b`` draws from a generator seeded
-by ``(seed, b)``, with a fixed draw order and full-block draw shapes even
-when the last block is partially filled. Results are therefore independent
-of worker count, execution order, and the total number of chains requested.
+by ``(seed, b)``: first its init sample, then one ``(BLOCK_SIZE, d)`` noise
+draw per step, one row per chain, with full-block draw shapes even when the
+last block is partially filled. Results are therefore independent of worker
+count, execution order, and the total number of chains requested.
+
+``run_chains`` steps slabs of consecutive blocks as one ``(d, width)`` state,
+one column per chain. The width is capped at ``_STATE_ELEMS`` state elements
+(one block at least), so a slab holds 64 blocks at d = 1 and one block from
+d = 33 up. A slab builds its level constants, kernel scratch and
+finiteness check once. One worker thread, started and joined inside each
+``run_chains`` call, draws every block's noise for the next chunk of steps
+while the calling thread steps the current chunk; a chunk that the worker
+has not started when it is due is drawn by the calling thread. Neither the
+slab width, nor the chunk length, nor the thread that draws a chunk changes a
+bit. Slabs run in order, and a
+``ChainDivergenceError`` names the lowest requested chain that is non-finite
+at the first step where any requested chain of its slab is non-finite.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +54,12 @@ BLOCK_SIZE = 512
 # Cap on the smoothed variances (levels x K x d) per slab of level constants:
 # a slab's constants take about 2x this many floats.
 _LEVEL_ELEMS = 2**16
+# Cap on the state elements (d x width) of a slab of blocks stepped as one
+# state; a slab is one block at least, so from d = 33 up it is one block.
+_STATE_ELEMS = 2**15
+# Cap on the elements (blocks x steps x BLOCK_SIZE x d) of each of a slab's
+# two noise buffers.
+_NOISE_ELEMS = 2**18
 
 
 class EngineError(RuntimeError):
@@ -160,24 +181,60 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(block))))
 
 
-def _run_block(
+def _noise(pool, rngs: list, noise_std: np.ndarray, n_steps: int):
+    """Yield the noise ``noise_std * xi`` of each step, a (d, blocks, BLOCK_SIZE) view.
+
+    Block j's generator draws one ``(BLOCK_SIZE, d)`` standard normal per
+    step, one row per chain as the init sample. A chunk of ``m`` steps is one
+    ``(m, BLOCK_SIZE, d)`` draw, which has the bits of ``m`` draws one after
+    another. ``pool`` draws the next chunk into one buffer while the caller
+    steps with the other.
+    """
+    d = noise_std.shape[0]
+    chunk = max(1, min(n_steps, _NOISE_ELEMS // (d * len(rngs) * BLOCK_SIZE)))
+    shape = (len(rngs), chunk, BLOCK_SIZE, d)
+    bufs = [np.empty(shape) for _ in range(1 if chunk == n_steps else 2)]
+
+    def fill(buf, m):
+        for j, rng in enumerate(rngs):
+            rng.standard_normal(out=buf[j, :m])
+            buf[j, :m] *= noise_std
+        return buf[:, :m].transpose(1, 3, 0, 2)
+
+    args = (bufs[0], chunk)
+    pending = pool.submit(fill, *args)
+    for i, lo in enumerate(range(0, n_steps, chunk)):
+        # a chunk that the worker has not started, say for want of a free core, is drawn here
+        ready = fill(*args) if pending.cancel() else pending.result()
+        nxt = lo + chunk
+        if nxt < n_steps:
+            args = (bufs[(i + 1) % 2], min(chunk, n_steps - nxt))
+            pending = pool.submit(fill, *args)
+        yield from ready
+
+
+def _run_slab(
     config: ALDConfig,
     target: DiagGMM,
     seed: int,
-    block: int,
+    blocks: range,
     n_rows: int,
     checkpoints: tuple,
     noise_scale: float,
+    pool: ThreadPoolExecutor,
 ) -> tuple[np.ndarray, dict]:
+    """Step ``blocks`` as one (d, width) state, one column per chain; return the first ``n_rows`` chains."""
     d = config.dim
     sched = config.schedule
-    rng = _block_rng(seed, block)
+    rngs = [_block_rng(seed, b) for b in blocks]
 
     init_gmm = config.init_mixture
     if init_gmm is None:
         init_gmm = smooth(target, config.c_base, sched.theta0)
-    # the state is held transposed, (d, BLOCK_SIZE), one column per chain
-    xt = np.ascontiguousarray(init_gmm.sample(BLOCK_SIZE, rng).T)
+    xt = np.empty((d, len(blocks) * BLOCK_SIZE))
+    xs = xt.reshape(d, len(blocks), BLOCK_SIZE)  # a view: block j's chains are xs[:, j]
+    for j, rng in enumerate(rngs):
+        xs[:, j] = init_gmm.sample(BLOCK_SIZE, rng).T
 
     drift_gmm = target
     if config.drift_mode == "misspecified":
@@ -192,18 +249,17 @@ def _run_block(
     else:
         pre = gam
     pre = pre[:, None]
-    noise_std = np.sqrt(2.0 * sched.dt * gam) * noise_scale
     levels = sched.levels
     dt = sched.dt
     n_steps = sched.n_steps - 1
     slab = max(1, _LEVEL_ELEMS // base_vars.size)
 
-    work = ScoreWork(BLOCK_SIZE, d, base_vars.shape[0])
-    noise = np.empty((BLOCK_SIZE, d))  # drawn one row per chain, as the init sample
-    finite = np.empty((d, BLOCK_SIZE), dtype=bool)
+    work = ScoreWork(xt.shape[1], d, base_vars.shape[0])
+    finite = np.empty(xt.shape, dtype=bool)
     saved = {}
     if 0 in checkpoints:
         saved[0] = xt[:, :n_rows].T.copy()
+    noise = _noise(pool, rngs, np.sqrt(2.0 * dt * gam) * noise_scale, n_steps)
     # overflow of a diverging state is detected right after the step
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, slab):
@@ -211,19 +267,17 @@ def _run_block(
             center, coef, offset = level_constants(
                 means, base_vars + levels[lo:hi, None, None] * lam, log_w
             )
-            for k in range(lo, hi):
+            for k, xi in zip(range(lo, hi), noise):
                 # x + dt * (pre * s) + noise_std * xi in place, in this order, so a
                 # noise-free step is x + dt * (pre * DiagGMM.score(x)) bit for bit
                 s = score_step(xt, center, coef[k - lo], offset[k - lo], work)
                 s *= pre
                 s *= dt
                 xt += s
-                rng.standard_normal(out=noise)
-                noise *= noise_std
-                xt += noise.T
+                xs += xi
                 if not np.isfinite(xt, out=finite)[:, :n_rows].all():
                     row = int(np.flatnonzero(~finite[:, :n_rows].all(axis=0))[0])
-                    raise ChainDivergenceError(chain=block * BLOCK_SIZE + row, step=k)
+                    raise ChainDivergenceError(chain=blocks[0] * BLOCK_SIZE + row, step=k)
                 if (k + 1) in checkpoints:
                     saved[k + 1] = xt[:, :n_rows].T.copy()
     return xt[:, :n_rows].T, saved
@@ -243,6 +297,11 @@ def run_chains(
     the state after s steps; state 0 is the initialization). ``noise_scale``
     rescales the injected noise and exists for diagnostics: 0 gives the
     deterministic Euler flow of the drift.
+
+    Slabs of blocks run in order. A ``ChainDivergenceError`` names the
+    lowest requested chain that is non-finite at the first step where any
+    requested chain of its slab is non-finite. The noise thread is joined
+    before this returns or raises.
     """
     if n_chains < 1:
         raise EngineError(f"n_chains must be >= 1, got {n_chains}")
@@ -255,15 +314,18 @@ def run_chains(
     out = np.empty((n_chains, config.dim))
     saved = {c: np.empty((n_chains, config.dim)) for c in cps}
     n_blocks = (n_chains + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for b in range(n_blocks):
-        lo = b * BLOCK_SIZE
-        hi = min(n_chains, lo + BLOCK_SIZE)
-        rows, block_saved = _run_block(
-            config, target, seed, b, hi - lo, cps, noise_scale
-        )
-        out[lo:hi] = rows
-        for c, states in block_saved.items():
-            saved[c][lo:hi] = states
+    per_slab = max(1, _STATE_ELEMS // (BLOCK_SIZE * config.dim))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for b in range(0, n_blocks, per_slab):
+            blocks = range(b, min(n_blocks, b + per_slab))
+            lo = b * BLOCK_SIZE
+            hi = min(n_chains, blocks.stop * BLOCK_SIZE)
+            rows, slab_saved = _run_slab(
+                config, target, seed, blocks, hi - lo, cps, noise_scale, pool
+            )
+            out[lo:hi] = rows
+            for c, states in slab_saved.items():
+                saved[c][lo:hi] = states
     return ChainBatch(samples=out, checkpoints={c: _frozen(saved[c]) for c in cps})
 
 

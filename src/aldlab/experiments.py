@@ -405,8 +405,6 @@ def steps_to_accuracy(
     """
     eps = cfg.sweep.epsilon
     grid = sorted(set(cfg.sweep.step_grid))
-    if not grid:
-        raise ExperimentError("empty step grid")
     lo = None  # largest failing N
     hi = None  # smallest passing N
     hi_kl = math.nan

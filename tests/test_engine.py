@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -265,6 +267,53 @@ class TestRunChains:
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.checkpoints[17], b.checkpoints[17])
 
+    def test_each_block_draws_its_own_noise_per_step(self):
+        # block b's generator, seeded by (seed, b), draws the block's init
+        # sample and then one (BLOCK_SIZE, d) standard normal per step, one row
+        # per chain; a step is x + dt * (pre * score) + sqrt(2 dt gamma) * xi,
+        # bit for bit
+        g = fig2_target(3)
+        cfg = ALDConfig(
+            dim=3,
+            schedule=make_schedule(6, 0.05, 20.0),
+            gamma=PowerLaw(1.0, 1.5),
+            c_base=PowerLaw(1.0, 2.7),
+        )
+        sched = cfg.schedule
+        pre = cfg.gamma.eigenvalues(3)
+        rngs = [engine._block_rng(8, b) for b in (0, 1)]
+        x = np.concatenate([smooth(g, cfg.c_base, sched.theta0).sample(engine.BLOCK_SIZE, r) for r in rngs])
+        for k in range(sched.n_steps - 1):
+            xi = np.concatenate([r.standard_normal((engine.BLOCK_SIZE, 3)) for r in rngs])
+            s = smooth(g, cfg.c_base, sched.theta(k)).score(x)
+            x = x + sched.dt * (pre * s) + np.sqrt(2.0 * sched.dt * pre) * xi
+        np.testing.assert_array_equal(run_chains(cfg, g, 700, seed=8).samples, x[:700])
+
+    def test_state_slabs_and_noise_chunks_do_not_change_bits(self, monkeypatch):
+        # the default steps a slab of blocks as one state and draws its noise a
+        # chunk of steps ahead; one block per slab and one step per chunk give
+        # the same chains. At d = 3, 49 steps are not a whole number of default
+        # chunks; at d = 25 a slab holds two blocks, so a third starts a second.
+        assert 49 % (engine._NOISE_ELEMS // (3 * 5 * engine.BLOCK_SIZE)) != 0
+        assert engine._STATE_ELEMS // (engine.BLOCK_SIZE * 25) == 2
+        runs = []
+        for d, n in ((3, 100), (3, 700), (3, 2500), (25, 1100)):
+            cfg = ALDConfig(
+                dim=d,
+                schedule=make_schedule(50, 9e-3, 20.0),
+                gamma=PowerLaw(1.0, 1.5),
+                c_base=PowerLaw(1.0, 2.7),
+            )
+            runs.append((cfg, fig2_target(d), n))
+        a = [run_chains(cfg, g, n, seed=4, checkpoints=(0, 17)) for cfg, g, n in runs]
+        monkeypatch.setattr(engine, "_STATE_ELEMS", 1)
+        monkeypatch.setattr(engine, "_NOISE_ELEMS", 1)
+        b = [run_chains(cfg, g, n, seed=4, checkpoints=(0, 17)) for cfg, g, n in runs]
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.samples, y.samples)
+            for c in (0, 17):
+                np.testing.assert_array_equal(x.checkpoints[c], y.checkpoints[c])
+
     def test_seed_changes_output(self):
         g = fig2_target(2)
         cfg = ALDConfig(
@@ -372,6 +421,70 @@ class TestRunChains:
             with pytest.raises(ChainDivergenceError) as err:
                 run_chains(cfg, g, n, seed=4)
             assert (err.value.chain, err.value.step) == (914, 5)
+
+    def test_noise_handoff_keeps_bits_under_thread_pressure(self, monkeypatch):
+        # one step per chunk hands every step's noise from the worker thread to
+        # the stepping thread; with two busy Python threads on two cores and a
+        # short switch interval, the chains keep the bits of an undisturbed run
+        g = fig2_target(3)
+        cfg = ALDConfig(
+            dim=3,
+            schedule=make_schedule(60, 9e-3, 20.0),
+            gamma=PowerLaw(1.0, 1.5),
+            c_base=PowerLaw(1.0, 2.7),
+        )
+        want = run_chains(cfg, g, 1100, seed=6, checkpoints=(31,))
+        monkeypatch.setattr(engine, "_NOISE_ELEMS", 1)
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                pass
+
+        spinners = [threading.Thread(target=spin) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in spinners:
+                t.start()
+            got = run_chains(cfg, g, 1100, seed=6, checkpoints=(31,))
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for t in spinners:
+                t.join(timeout=30)
+        assert not any(t.is_alive() for t in spinners)
+        np.testing.assert_array_equal(got.samples, want.samples)
+        np.testing.assert_array_equal(got.checkpoints[31], want.checkpoints[31])
+
+    def test_divergence_names_first_step_of_the_slab(self):
+        # both blocks of a d = 1 run are one slab. With seed 33, block 0 draws
+        # chain 63 from the component at 1e134, which overflows at step 7, and
+        # block 1 draws chain 569 from the one at 1e140, which overflows at step
+        # 5: the error names the chain that is non-finite first
+        g = single_gaussian(d=1, var=1e-3)
+        init = DiagGMM(
+            weights=(0.998, 0.001, 0.001), means=[[0.0], [1e134], [1e140]], variances=[[1e-2]] * 3
+        )
+        cfg = dataclasses.replace(far_init_config(), init_mixture=init)
+        with pytest.raises(ChainDivergenceError) as err:
+            run_chains(cfg, g, 512, seed=33)
+        assert (err.value.chain, err.value.step) == (63, 7)
+        with pytest.raises(ChainDivergenceError) as err:
+            run_chains(cfg, g, 1024, seed=33)
+        assert (err.value.chain, err.value.step) == (569, 5)
+
+    def test_no_thread_outlives_the_call(self):
+        # the noise thread is joined on return and on a divergence, so a
+        # fork-based worker pool never forks a process that holds it
+        g = single_gaussian(d=1, var=1e-3)
+        cfg = far_init_config()
+        before = threading.active_count()
+        run_chains(cfg, g, 512, seed=11)
+        assert threading.active_count() == before
+        with pytest.raises(ChainDivergenceError):
+            run_chains(cfg, g, 700, seed=11)
+        assert threading.active_count() == before
 
     def test_blas_threads_do_not_change_bits(self, tmp_path):
         # two blocks of 700 chains give the same bits on one BLAS thread and on two
