@@ -1,5 +1,7 @@
 import importlib
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +66,12 @@ class TestKnnDistances:
         with pytest.raises(KnnError):
             knn_distances(pts, pts, 5, exclude_self=True)
         knn_distances(pts, pts, 5)  # without exclusion 5 neighbors exist
+
+
+def ci_samples():
+    """The CI sample sizes at the largest fig2 CI dimension: n = m = 1000, d = 25."""
+    r = np.random.default_rng(25)
+    return r.normal(size=(1000, 25)), r.normal(size=(1000, 25)) + 0.1
 
 
 @pytest.fixture
@@ -131,12 +139,27 @@ class TestScreenedSearchExact:
         # rho: X[:10] and its copies; nu: every P row that is a row of X[:30]
         assert knn_kl(P, Q, 1).clamped_pairs == 20 + 40
 
+    def test_far_point_keeps_rows_on_the_screen(self, rng, rescanned):
+        # the bound is per pair: a far point widens only the bounds of its own
+        # pairs, so it neither forces the other rows nor itself into a rescan
+        pts = np.vstack([rng.normal(size=(1000, 10)), np.full((1, 10), 1e7)])
+        out = knn_distances(pts, pts, 20, exclude_self=True)
+        assert rescanned == []
+        np.testing.assert_array_equal(out, quadratic_scan_knn(pts, pts, 20, exclude_self=True))
+
     def test_block_size_does_not_matter(self, rng, monkeypatch):
         pts = rng.normal(size=(70, 6))
         pts[:5] = 1e6  # a tied, far cluster for the rescan path
         expected = quadratic_scan_knn(pts, pts, 4, exclude_self=True)
-        monkeypatch.setattr(knn_module, "_CHUNK_ELEMS", 1)  # one query row per block
-        np.testing.assert_array_equal(knn_distances(pts, pts, 4, exclude_self=True), expected)
+        P, Q = ci_samples()
+        whole = 2**22  # every query row of either search in one block
+        for chunk in (whole, 1, knn_module._CHUNK_ELEMS):  # 1: one query row per block
+            monkeypatch.setattr(knn_module, "_CHUNK_ELEMS", chunk)
+            np.testing.assert_array_equal(knn_distances(pts, pts, 4, exclude_self=True), expected)
+            estimates = knn_kl_multi(P, Q, (20, 50, 80))
+            if chunk == whole:
+                reference = estimates
+            assert estimates == reference
 
 
 class TestKnnKlMulti:
@@ -150,6 +173,42 @@ class TestKnnKlMulti:
             assert est.value == single.value
             assert est.clamped_pairs == single.clamped_pairs
             assert est == single
+
+    @pytest.mark.parametrize("side", ["rho", "nu"])
+    def test_search_error_reraised_and_thread_joined(self, rng, monkeypatch, side):
+        # experiments._fan_out forks worker processes, which must never
+        # happen while a search thread is alive: the call joins it on return
+        # and on an error from either search, the worker's (nu) included
+        P = rng.normal(size=(200, 3))
+        Q = rng.normal(size=(150, 3))
+        search = knn_module.knn_distances
+        failed_on = []
+
+        def failing(points, queries, k, exclude_self=False):
+            if exclude_self == (side == "rho"):
+                failed_on.append(threading.current_thread())
+                raise RuntimeError(f"{side} search failed")
+            return search(points, queries, k, exclude_self)
+
+        before = threading.active_count()
+        knn_kl_multi(P, Q, (5, 10))
+        assert threading.active_count() == before
+        monkeypatch.setattr(knn_module, "knn_distances", failing)
+        with pytest.raises(RuntimeError, match=f"{side} search failed"):
+            knn_kl_multi(P, Q, (5, 10))
+        assert threading.active_count() == before
+        assert (failed_on[0] is threading.current_thread()) == (side == "rho")
+
+    def test_peak_memory_of_a_ci_call(self):
+        # every query tile's arrays stay small: one whole-matrix block traced 73 MB
+        P, Q = ci_samples()
+        tracemalloc.start()
+        try:
+            knn_kl_multi(P, Q, (20, 50, 80))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("ks", [(5, 50), (0, 5), (5, 31), ()], ids=["k_eq_n", "zero", "k_above_m", "empty"])
     def test_invalid_k_rejected_before_any_search(self, rng, monkeypatch, ks):
