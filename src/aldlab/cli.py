@@ -8,7 +8,7 @@ Verbs::
     aldlab schedule --n 20000 --dt 9e-3 --s 20    print the smoothing levels
 
 ``--seed`` overrides the config seed; ``--profile ci`` shrinks a run to desk
-scale; ALDLAB_WORKERS (or ``--workers``) sets the cell worker pool.
+scale; ``--workers N`` sets the cell worker pool (one worker by default).
 """
 
 from __future__ import annotations

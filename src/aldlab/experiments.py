@@ -33,8 +33,6 @@ from .knn_kl import knn_kl, knn_kl_multi
 from .mixture import DiagGMM, MixturePerturbation, build_truncated_mixture, smooth
 from .spectra import PowerLaw
 
-WORKERS_ENV = "ALDLAB_WORKERS"
-
 # Names the float bits of chains and estimates. The chain-cache keys hash it
 # (with engine.BLOCK_SIZE), so a change that moves those bits must bump it:
 # cache entries from other numerics then miss instead of being served.
@@ -49,6 +47,8 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One results-CSV row: the result of one cell, or of one step search, or one k of a batch."""
+
     experiment: str
     variant: str
     d: int
@@ -63,10 +63,25 @@ class ResultRow:
         return (self.experiment, self.variant, self.d, self.k, self.seed, self.repeat)
 
 
+def _row(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, kl, steps, wall_time_s, k=None):
+    """The row of ``cfg``'s experiment for one (variant, d, repeat), at the primary k by default."""
+    k = cfg.sampling.k_primary if k is None else k
+    return ResultRow(cfg.experiment, variant.name, d, k, cfg.sampling.seed, repeat, float(kl), steps, wall_time_s)
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)
+
+
+def _write_csv(path: str, header, records) -> None:
+    """Write a header and records with LF endings, quoting only fields that need it."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in rec] for rec in records)
 
 
 def emit_csv(rows, path: str) -> None:
@@ -76,27 +91,7 @@ def emit_csv(rows, path: str) -> None:
     if len(set(keys)) != len(keys):
         dup = next(k for i, k in enumerate(keys) if k in keys[:i])
         raise ExperimentError(f"duplicate result key {dup}")
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for r in ordered:
-            fh.write(
-                ",".join(
-                    (
-                        r.experiment,
-                        r.variant,
-                        str(r.d),
-                        str(r.k),
-                        str(r.seed),
-                        str(r.repeat),
-                        _fmt(float(r.kl)),
-                        _fmt(r.steps),
-                        _fmt(float(r.wall_time_s)),
-                    )
-                )
-                + "\n"
-            )
+    _write_csv(path, CSV_HEADER, ([getattr(r, c) for c in CSV_HEADER] for r in ordered))
 
 
 def read_csv_rows(path: str) -> list:
@@ -229,25 +224,20 @@ def _load_batch(cfg: ExperimentConfig, path: str, d: int):
     return arrays
 
 
+# What a row file holds: the fields of a cell's row that its digest does not
+# fix. The names enter the digest, so a row file of another shape is a miss.
+_ROW_FIELDS = ("kl", "steps", "wall_time_s")
+
+
 def _cell_digest(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, n_steps: int) -> str:
     text = "|".join(
         [
             _batch_digest(cfg, variant, d, repeat, n_steps),
             f"k={cfg.sampling.k_primary}",
+            "row=" + ",".join(_ROW_FIELDS),
         ]
     )
     return hashlib.sha256(text.encode()).hexdigest()[:20]
-
-
-@dataclass(frozen=True)
-class CellResult:
-    variant: str
-    d: int
-    repeat: int
-    n_steps: int
-    kl: float
-    diverged: bool
-    wall_time_s: float
 
 
 def run_cell(
@@ -257,12 +247,13 @@ def run_cell(
     repeat: int,
     n_steps=None,
     cache: bool = True,
-    keep_batch: bool = True,
-) -> CellResult:
-    """Simulate one (variant, d, repeat) cell and estimate its divergence.
+) -> ResultRow:
+    """Simulate one (variant, d, repeat) cell and estimate its divergence at the primary k.
 
-    Cached by content digest; a cache hit returns the stored result verbatim
-    (including its original wall time, so reruns reproduce output bytes).
+    Its row is cached by content digest; a cache hit returns the stored row
+    verbatim (including its original wall time, so reruns reproduce output
+    bytes). A cell that runs the config's own schedule length also caches its
+    chain batch, the one the robustness study re-estimates.
     """
     steps = int(n_steps if n_steps is not None else cfg.schedule.n_steps)
     digest = _cell_digest(cfg, variant, d, repeat, steps)
@@ -271,7 +262,7 @@ def run_cell(
     npz_path = _batch_path(cfg, variant, d, repeat, steps)
     if cache and os.path.exists(row_path):
         with open(row_path, "r", encoding="utf-8") as fh:
-            return CellResult(**json.load(fh))
+            return _row(cfg, variant, d, repeat, **json.load(fh))
 
     t0 = time.perf_counter()
     diverged = False
@@ -295,19 +286,10 @@ def run_cell(
             p_samples = target.sample(cfg.sampling.n_target_samples, p_rng)
     if not diverged:
         kl = knn_kl(p_samples, chain_samples, cfg.sampling.k_primary).value
-    wall = time.perf_counter() - t0
-    result = CellResult(
-        variant=variant.name,
-        d=d,
-        repeat=repeat,
-        n_steps=steps,
-        kl=float(kl),
-        diverged=diverged,
-        wall_time_s=wall,
-    )
+    row = _row(cfg, variant, d, repeat, kl, "diverged" if diverged else steps, time.perf_counter() - t0)
     if cache:
         os.makedirs(cdir, exist_ok=True)
-        if keep_batch and not diverged and cached is None:
+        if steps == cfg.schedule.n_steps and not diverged and cached is None:
             # written aside and renamed, so a killed run never leaves a torn
             # batch under the name later cells load, and an unusable batch
             # there is replaced; the temporary name ends in .npz because
@@ -321,28 +303,19 @@ def run_cell(
                     os.remove(tmp_npz)
         tmp = row_path + f".tmp{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(result.__dict__, fh)
+            json.dump({name: getattr(row, name) for name in _ROW_FIELDS}, fh)
         os.replace(tmp, row_path)
-    return result
+    return row
 
 
-def _cell_task(args) -> CellResult:
+def _cell_task(args) -> ResultRow:
     cfg, variant, d, repeat, cache = args
     return run_cell(cfg, variant, d, repeat, cache=cache)
 
 
-def resolve_workers(workers=None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV, "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
-
-
 def _fan_out(task, args: list, workers) -> list:
-    """``[task(a) for a in args]``, in a process pool when more than one worker is resolved."""
-    nworkers = resolve_workers(workers)
+    """``[task(a) for a in args]``, in a process pool when more than one worker is asked for."""
+    nworkers = max(1, int(workers or 1))
     if nworkers > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             return list(pool.map(task, args))
@@ -355,8 +328,8 @@ def _fan_out(task, args: list, workers) -> list:
 def run_kl_sweep(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
     """Shared driver for the bias-vs-dimension experiments.
 
-    Runs every (variant, d, repeat) cell at the configured schedule, writes
-    one row per cell with the primary k.
+    Runs every (variant, d, repeat) cell at the configured schedule, one row
+    per cell with the primary k.
     """
     tasks = [
         (cfg, variant, d, repeat, cache)
@@ -364,22 +337,7 @@ def run_kl_sweep(cfg: ExperimentConfig, workers=None, cache: bool = True) -> lis
         for d in cfg.sweep.d_values
         for repeat in range(cfg.sampling.repeats)
     ]
-    rows = []
-    for res in _fan_out(_cell_task, tasks, workers):
-        rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                variant=res.variant,
-                d=res.d,
-                k=cfg.sampling.k_primary,
-                seed=cfg.sampling.seed,
-                repeat=res.repeat,
-                kl=res.kl,
-                steps="diverged" if res.diverged else res.n_steps,
-                wall_time_s=res.wall_time_s,
-            )
-        )
-    return rows
+    return _fan_out(_cell_task, tasks, workers)
 
 
 # -- steps-to-accuracy search -------------------------------------------------
@@ -388,8 +346,8 @@ def run_kl_sweep(cfg: ExperimentConfig, workers=None, cache: bool = True) -> lis
 def _mean_kl_at(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_steps: int, cache: bool) -> float:
     vals = []
     for repeat in range(cfg.sampling.repeats):
-        res = run_cell(cfg, variant, d, repeat, n_steps=n_steps, cache=cache, keep_batch=False)
-        vals.append(math.inf if res.diverged else res.kl)
+        row = run_cell(cfg, variant, d, repeat, n_steps=n_steps, cache=cache)
+        vals.append(math.inf if row.steps == "diverged" else row.kl)
     return float(np.mean(vals))
 
 
@@ -429,32 +387,17 @@ def steps_to_accuracy(
     return hi, hi_kl
 
 
-def run_fig1_steps_to_accuracy(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
-    cells = [(variant, d) for variant in cfg.variants for d in cfg.sweep.d_values]
-    found = _fan_out(_steps_task, [(cfg, variant, d, cache) for variant, d in cells], workers)
-    rows = []
-    for (variant, d), (steps, kl, wall) in zip(cells, found):
-        rows.append(
-            ResultRow(
-                experiment=cfg.experiment,
-                variant=variant.name,
-                d=d,
-                k=cfg.sampling.k_primary,
-                seed=cfg.sampling.seed,
-                repeat=0,
-                kl=kl,
-                steps=steps,
-                wall_time_s=wall,
-            )
-        )
-    return rows
-
-
-def _steps_task(args):
+def _steps_task(args) -> ResultRow:
     cfg, variant, d, cache = args
     t0 = time.perf_counter()
     steps, kl = steps_to_accuracy(cfg, variant, d, cache=cache)
-    return steps, kl, time.perf_counter() - t0
+    return _row(cfg, variant, d, 0, kl, steps, time.perf_counter() - t0)
+
+
+def run_fig1_steps_to_accuracy(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
+    """One row per (variant, d): the step search's count and mean KL, as repeat 0."""
+    tasks = [(cfg, variant, d, cache) for variant in cfg.variants for d in cfg.sweep.d_values]
+    return _fan_out(_steps_task, tasks, workers)
 
 
 # -- robustness to k ----------------------------------------------------------
@@ -462,6 +405,10 @@ def _steps_task(args):
 
 def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
     """Re-estimate stored sweep batches at every configured k, without re-simulating."""
+    if not cache:
+        raise ExperimentError(
+            "the knn_robustness study only re-estimates cached chain batches; it cannot run without the cache"
+        )
     rows = []
     for variant in cfg.variants:
         for d in cfg.sweep.d_values:
@@ -478,20 +425,10 @@ def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) 
                 estimates = knn_kl_multi(p_samples, chain_samples, cfg.sampling.k_values)
                 # one search serves every k; each row carries an equal share
                 share = (time.perf_counter() - t0) / len(estimates)
-                for est in estimates:
-                    rows.append(
-                        ResultRow(
-                            experiment="knn_robustness",
-                            variant=variant.name,
-                            d=d,
-                            k=est.k,
-                            seed=cfg.sampling.seed,
-                            repeat=repeat,
-                            kl=est.value,
-                            steps=cfg.schedule.n_steps,
-                            wall_time_s=share,
-                        )
-                    )
+                rows.extend(
+                    _row(cfg, variant, d, repeat, est.value, cfg.schedule.n_steps, share, k=est.k)
+                    for est in estimates
+                )
     return rows
 
 
@@ -583,16 +520,11 @@ def run_bounds_report(cfg: ExperimentConfig, grid_size: int = 512) -> dict:
         conditions[variant.name] = variant_condition_report(cfg, variant)
 
     path = cfg.output.csv
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
     cols = (
         "variant", "d", "kd", "t_for_epsilon", "init_kl_bound",
         "int_bcomp", "int_bresp", "int_bresp_envelope", "bias_bound", "total_bound",
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in numeric:
-            fh.write(",".join(_fmt(rec[c]) for c in cols) + "\n")
+    _write_csv(path, cols, ([rec[c] for c in cols] for rec in numeric))
     txt_path = path.rsplit(".", 1)[0] + ".txt"
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(f"bounds report: {cfg.name} (epsilon = {eps})\n")
@@ -615,40 +547,28 @@ _CONSTANTS_BEGIN = "# --- constants (rewritten by emit_plot_script) ---\n"
 _CONSTANTS_END = "# --- end constants ---\n"
 
 
-def emit_plot_script(rows, path: str, csv_path: str) -> None:
+def emit_plot_script(path: str, csv_path: str) -> None:
     """Write a self-contained script that re-plots the CSV.
 
-    The script is ``plot_template.py`` with its constants block filled in; it
-    needs only the standard library and matplotlib, and only drawing needs
+    The script is ``plot_template.py`` with its ``CSV`` path filled in; it
+    works out its labels, title and steps mode from the CSV's rows. It needs
+    only the standard library and matplotlib, and only drawing needs
     matplotlib: its ``series()`` reads the CSV and returns what is drawn, and
     can be imported without it. The template's ``LOG_FLOOR`` is applied only
     to non-positive estimates, and only because the y axis is logarithmic; a
     diverged (NaN) mean stays NaN and leaves a gap. The CSV itself keeps raw
     values.
     """
-    ks = sorted({r.k for r in rows})
-    if len(ks) > 1:
-        variants = sorted({f"{r.variant} (k={r.k})" for r in rows})
-    else:
-        variants = sorted({r.variant for r in rows})
-    experiments = sorted({r.experiment for r in rows})
-    steps_mode = bool(rows) and all(r.experiment == "fig1_steps_to_accuracy" for r in rows)
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     rel_csv = os.path.relpath(os.path.abspath(csv_path), parent)
-    constants = [
-        f"CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), {rel_csv!r})",
-        f"VARIANTS = {variants!r}",
-        f"TITLE = {' / '.join(experiments)!r}",
-        f"STEPS_MODE = {steps_mode!r}",
-    ]
+    constant = f"CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), {rel_csv!r})\n"
     with open(_PLOT_TEMPLATE, "r", encoding="utf-8") as fh:
         template = fh.read()
     head, _, rest = template.partition(_CONSTANTS_BEGIN)
     _, _, tail = rest.partition(_CONSTANTS_END)
-    text = head + _CONSTANTS_BEGIN + "\n".join(constants) + "\n" + _CONSTANTS_END + tail
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(head + _CONSTANTS_BEGIN + constant + _CONSTANTS_END + tail)
 
 
 # -- dispatcher ----------------------------------------------------------------
@@ -671,5 +591,5 @@ def run_experiment(cfg: ExperimentConfig, workers=None, cache: bool = True) -> l
     rows = runner(cfg, workers=workers, cache=cache)
     emit_csv(rows, cfg.output.csv)
     if cfg.output.plot_script:
-        emit_plot_script(rows, cfg.output.plot_script, cfg.output.csv)
+        emit_plot_script(cfg.output.plot_script, cfg.output.csv)
     return rows

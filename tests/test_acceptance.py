@@ -272,6 +272,7 @@ def test_c05_knn_calibration():
 # -- criteria 6/7: figure sweeps at the CI profile ------------------------------
 
 
+@pytest.mark.slow
 def test_c06_fig2_trend(fig2_ci):
     rows = fig2_ci["rows"]
     top = max(fig2_ci["cfg"].sweep.d_values)
@@ -286,6 +287,7 @@ def test_c06_fig2_trend(fig2_ci):
                   budget_s=300, elapsed=fig2_ci["elapsed"])
 
 
+@pytest.mark.slow
 def test_c07_fig3_separation(fig3_ci):
     rows = fig3_ci["rows"]
     top = max(fig3_ci["cfg"].sweep.d_values)
@@ -297,6 +299,7 @@ def test_c07_fig3_separation(fig3_ci):
                   budget_s=300, elapsed=fig3_ci["elapsed"])
 
 
+@pytest.mark.slow
 def test_c07_fig3_admissible_flatness(fig3_ci):
     # Stated margin: KL(top) <= 3 max(KL(5), 0.1). Thin margin by nature: the
     # admissible estimate carries a dimension-growing kNN-estimator bias on
@@ -326,6 +329,7 @@ def fig1_ci(tmp_path_factory):
     return {"cfg": cfg, "rows": rows, "elapsed": time.perf_counter() - t0}
 
 
+@pytest.mark.slow
 def test_c08_fig1_steps_trend(fig1_ci):
     rows = fig1_ci["rows"]
     steps = {(r.variant, r.d): r.steps for r in rows}
@@ -348,6 +352,7 @@ def test_c08_fig1_steps_trend(fig1_ci):
 # -- criterion 9: robustness to k ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c09_knn_robustness(fig2_ci):
     t0 = time.perf_counter()
     cfg = fig2_ci["cfg"]
@@ -455,6 +460,7 @@ def test_c11_condition_report_verdicts():
 # -- criterion 12: determinism -------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c12_byte_identical_reruns(fig2_ci, tmp_path_factory):
     t0 = time.perf_counter()
     base = tmp_path_factory.mktemp("fig2_ci_rerun")

@@ -336,6 +336,22 @@ class TestTiltedParams:
         assert est_mean == pytest.approx(mean, abs=0.01)
         assert est_var == pytest.approx(var, rel=0.02)
 
+    @pytest.mark.parametrize("p", [8.0, -8.0])
+    def test_budget_kernel_is_the_tilt(self, rng, p):
+        # the budget's elementwise kernel carries its own copy of the tilt. Its
+        # first-moment parts are gamma E[(x - mt)^2] / vt^2 under the tilted
+        # Gaussian, split into variance and mean parts, so the Monte Carlo
+        # check of tilted_params covers the kernel the budget runs
+        for _ in range(50):
+            v = float(rng.uniform(0.3, 3.0))
+            vt = v * float(rng.uniform(0.88, 1.12))  # in band: p*kappa - (p-1) > 0 at p = +-8
+            m, mt = (float(x) for x in rng.normal(size=2))
+            gamma = float(rng.uniform(0.1, 2.0))
+            mean_tilt, var_tilt = tilted_params(p, m, mt, v, vt)
+            lin0, lin1, *_ = bounds._tilted_terms(p, gamma, v, vt, mt - m)
+            assert lin0 == pytest.approx(gamma * var_tilt / vt**2, rel=1e-12)
+            assert lin1 == pytest.approx(gamma * (mean_tilt - mt) ** 2 / vt**2, rel=1e-12, abs=1e-15)
+
 
 class TestScoreFourthMoment:
     def test_one_dimensional_gaussian(self):

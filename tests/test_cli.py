@@ -1,7 +1,11 @@
+import csv
+import runpy
+
 import numpy as np
 import pytest
 
 from aldlab.cli import main
+from aldlab.experiments import read_csv_rows
 
 
 def test_schedule_verb(capsys):
@@ -103,3 +107,53 @@ csv = {csv}
     assert "suff_kd=converges" in out
     assert (tmp_path / "bounds.csv").exists()
     assert (tmp_path / "bounds.txt").exists()
+
+
+ODD_NAMES = ("a,b", 'say "hi"')
+
+
+def test_variant_names_that_need_csv_quoting(tmp_path):
+    # a name with a comma or a quote is quoted in every CSV, and reads back unchanged
+    variants = "".join(f"\n[variant {name}]\ngamma_scale = 1.0\ncbase_scale = 1.0\n" for name in ODD_NAMES)
+    run_cfg = tmp_path / "odd.cfg"
+    run_cfg.write_text(
+        f"""
+[experiment]
+kind = fig2_bias_vs_dim
+
+[schedule]
+n_steps = 40
+dt = 0.05
+s_half = 20.0
+
+[sampling]
+n_chains = 50
+n_target_samples = 50
+k_values = 5
+repeats = 1
+seed = 5
+
+[sweep]
+d_values = 1, 2
+{variants}
+[output]
+csv = {tmp_path / "odd.csv"}
+plot_script = {tmp_path / "odd_plot.py"}
+"""
+    )
+    assert main(["run", str(run_cfg)]) == 0
+    assert sorted({r.variant for r in read_csv_rows(tmp_path / "odd.csv")}) == sorted(ODD_NAMES)
+    labels = runpy.run_path(str(tmp_path / "odd_plot.py"))["series"]()
+    assert sorted(labels) == sorted(ODD_NAMES)
+
+    bounds_cfg = tmp_path / "odd_bounds.cfg"
+    bounds_cfg.write_text(
+        f"[experiment]\nkind = bounds_report\n\n[sweep]\nd_values = 1, 5\n{variants}\n"
+        f"[output]\ncsv = {tmp_path / 'odd_bounds.csv'}\n"
+    )
+    assert main(["bounds", str(bounds_cfg)]) == 0
+    with open(tmp_path / "odd_bounds.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert [r["variant"] for r in records] == [name for name in ODD_NAMES for _ in (1, 5)]
+    assert all(None not in r and float(r["kd"]) > 0 for r in records)
+

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import importlib.util
 import inspect
+import json
 import math
 import os
 import runpy
@@ -199,12 +201,41 @@ class TestSweepExperiment:
             np.testing.assert_array_equal(data["samples"], good["samples"])
             np.testing.assert_array_equal(data["target_samples"], good["target_samples"])
 
+    def test_row_file_holds_what_the_key_does_not(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, name="row")
+        row = run_cell(cfg, TINY_GREEN, 2, 1)
+        assert row.key() == ("fig2_bias_vs_dim", "green", 2, 5, 777, 1)
+        assert row.steps == cfg.schedule.n_steps
+        (row_file,) = [f for f in os.listdir(cache_dir(cfg)) if f.endswith(".json")]
+        with open(os.path.join(cache_dir(cfg), row_file)) as fh:
+            assert json.load(fh) == {"kl": row.kl, "steps": row.steps, "wall_time_s": row.wall_time_s}
+        assert run_cell(cfg, TINY_GREEN, 2, 1) == row  # a hit returns the stored row verbatim
+
+    def test_batch_kept_only_at_the_schedule_length(self, tmp_path):
+        # the robustness study reads batches of the config's own length only
+        cfg = tiny_cfg(tmp_path, name="keep")
+        run_cell(cfg, TINY_GREEN, 1, 0, n_steps=40)
+        assert not any(f.endswith(".npz") for f in os.listdir(cache_dir(cfg)))
+        run_cell(cfg, TINY_GREEN, 1, 0, n_steps=cfg.schedule.n_steps)
+        assert sum(f.endswith(".npz") for f in os.listdir(cache_dir(cfg))) == 1
+
+    def test_row_file_of_the_older_shape_is_never_read(self, tmp_path):
+        # row files once stored the whole cell record under a digest without
+        # the row format; such a file must be a miss, not a hit or an error
+        cfg = tiny_cfg(tmp_path, name="old")
+        fresh = run_cell(tiny_cfg(tmp_path / "fresh"), TINY_GREEN, 2, 0)
+        batch = experiments._batch_digest(cfg, TINY_GREEN, 2, 0, cfg.schedule.n_steps)
+        old = hashlib.sha256(f"{batch}|k={cfg.sampling.k_primary}".encode()).hexdigest()[:20]
+        os.makedirs(cache_dir(cfg))
+        with open(os.path.join(cache_dir(cfg), old + ".json"), "w") as fh:
+            json.dump({"variant": "green", "d": 2, "repeat": 0, "n_steps": 80, "kl": 9.0,
+                       "diverged": False, "wall_time_s": 0.0}, fh)
+        assert run_cell(cfg, TINY_GREEN, 2, 0).kl == fresh.kl
+
     def test_plot_script_lists_variants_and_runs(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="plot")
         run_experiment(cfg)
-        text = open(cfg.output.plot_script).read()
-        assert "['green', 'red']" in text
-        assert "LOG_FLOOR" in text
+        assert "LOG_FLOOR" in open(cfg.output.plot_script).read()
         by_cell = {}
         for r in read_csv_rows(cfg.output.csv):
             by_cell.setdefault(r.variant, {}).setdefault(r.d, []).append(r.kl)
@@ -228,7 +259,7 @@ def emit_rows(tmp_path, name, rows):
     csv = str(tmp_path / f"{name}.csv")
     script = str(tmp_path / f"{name}_plot.py")
     emit_csv(rows, csv)
-    emit_plot_script(rows, script, csv)
+    emit_plot_script(script, csv)
     return script
 
 
@@ -250,10 +281,7 @@ def fig1_rows():
 
 
 def test_multi_k_plot_script(tmp_path):
-    script = emit_rows(tmp_path, "rob", multi_k_rows())
-    text = open(script).read()
-    assert "green (k=20)" in text and "red (k=50)" in text
-    got = plot_series(script)
+    got = plot_series(emit_rows(tmp_path, "rob", multi_k_rows()))
     assert list(got) == ["green (k=20)", "green (k=50)", "red (k=20)", "red (k=50)"]
     for k in (20, 50):
         for variant in ("green", "red"):
@@ -279,9 +307,7 @@ def test_plot_series_floors_only_non_positive_means(tmp_path):
 
 
 def test_plot_series_steps_mode(tmp_path):
-    script = emit_rows(tmp_path, "steps", fig1_rows())
-    assert "STEPS_MODE = True" in open(script).read()
-    assert plot_series(script) == {
+    assert plot_series(emit_rows(tmp_path, "steps", fig1_rows())) == {
         "green": ([1, 5], [100, 400]),
         "green (cap exceeded)": ([10], [400]),
         "red": ([1], [200]),
@@ -340,6 +366,15 @@ class TestKnnRobustness:
         monkeypatch.setattr(owner, name, getattr(owner, name) + 1)
         with pytest.raises(ExperimentError, match="variant 'green', d=1, repeat=0; run the sweep"):
             run_knn_robustness(rob_cfg)
+
+    def test_refuses_to_run_without_the_cache(self, tmp_path):
+        # the study has nothing to simulate: with the cache off it would still
+        # have read it, so it refuses instead
+        cfg = tiny_cfg(tmp_path, name="rob")
+        run_experiment(cfg)
+        rob_cfg = replace(cfg, experiment="knn_robustness")
+        with pytest.raises(ExperimentError, match="only re-estimates cached chain batches"):
+            run_experiment(rob_cfg, cache=False)
 
     def test_missing_cache_instructs_rerun(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="nocache")

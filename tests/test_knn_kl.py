@@ -147,6 +147,40 @@ class TestScreenedSearchExact:
         assert rescanned == []
         np.testing.assert_array_equal(out, quadratic_scan_knn(pts, pts, 20, exclude_self=True))
 
+    def test_far_points_near_queries_need_the_point_half_of_the_bound(self):
+        # One vector with its large coordinate rolled to each of d = 65
+        # positions: the exact norms tie, but the screen's norms and the
+        # oracle's difference sums round them apart by up to 15 ulps in
+        # unrelated orders. The queries sit near the origin, so their half
+        # of the bound (eq) is negligible and only the points' half (ep)
+        # covers that error; without it the screen "proves" a wrong order.
+        d = 65
+        v = np.full(d, 1e-8)
+        v[0] = 1.0
+        pts = np.array([np.roll(v, i) for i in range(d)])
+        qry = np.full((1, d), 1e-12)
+        for k in (1, 2, 5):
+            np.testing.assert_array_equal(knn_distances(pts, qry, k), quadratic_scan_knn(pts, qry, k))
+
+    def test_near_points_far_queries_need_the_query_half_of_the_bound(self):
+        # The query is far, (1, 0, ..., 0), and the points near the origin, so
+        # the screen's error is the query's half of the bound (eq) alone. The
+        # oracle's pairwise sum adds the terms at positions 8, 16, ..., 64 to
+        # the leading 1 one at a time, and each term below half an ulp is
+        # lost: the point holding its mass there is nearest in the oracle's
+        # floats (distance exactly 1) yet last on the screen, behind 17 points
+        # whose mass the sum keeps. 17 is the candidate width at k = 1.
+        d = 65
+        lost = np.zeros(d)
+        lost[8::8] = 1e-8
+        kept = np.zeros((17, d))
+        kept[np.arange(17), 1 + np.arange(17) % 7] = math.sqrt(5.5e-16)
+        pts = np.vstack([kept, lost])
+        qry = np.zeros((1, d))
+        qry[0, 0] = 1.0
+        np.testing.assert_array_equal(knn_distances(pts, qry, 1), quadratic_scan_knn(pts, qry, 1))
+        assert quadratic_scan_knn(pts, qry, 1)[0, 0] == 1.0
+
     def test_block_size_does_not_matter(self, rng, monkeypatch):
         pts = rng.normal(size=(70, 6))
         pts[:5] = 1e6  # a tied, far cluster for the rescan path
