@@ -20,20 +20,29 @@ count, execution order, and the total number of chains requested.
 ``run_chains`` steps slabs of consecutive blocks as one ``(d, width)`` state,
 one column per chain. The width is capped at ``_STATE_ELEMS`` state elements
 (one block at least), so a slab holds 64 blocks at d = 1 and one block from
-d = 33 up. A slab builds its level constants, kernel scratch and
-finiteness check once. One worker thread, started and joined inside each
-``run_chains`` call, draws every block's noise for the next chunk of steps
-while the calling thread steps the current chunk; a chunk that the worker
-has not started when it is due is drawn by the calling thread. Neither the
-slab width, nor the chunk length, nor the thread that draws a chunk changes a
-bit. Slabs run in order, and a
-``ChainDivergenceError`` names the lowest requested chain that is non-finite
-at the first step where any requested chain of its slab is non-finite.
+d = 33 up. A slab builds its level constants and kernel scratch once.
+
+A slab's noise is a set of (chunk, block) draw tasks: task (c, j) draws the
+c-th chunk of steps from block j's generator, after chunk c - 1, so every
+block still draws its normals in step order. One worker thread, started and
+joined inside each ``run_chains`` call, takes the tasks in order, up to a few
+chunks ahead of the step. The calling thread, when the chunk it needs is not
+ready, draws the first task that can start instead of waiting; on one core
+the two threads take turns. A one-block slab's chunks can only be drawn one
+after another, so there the worker mostly draws and the calling thread
+steps. The calling thread scales each step's normals into a contiguous
+``(d, width)`` array and adds it. Neither the slab width, nor the chunk
+length, nor the thread that draws a task changes a bit.
+
+Slabs run in order, and a ``ChainDivergenceError`` names the lowest
+requested chain that is non-finite at the first step where any requested
+chain of its slab is non-finite.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,14 +61,22 @@ from .spectra import PowerLaw
 
 BLOCK_SIZE = 512
 # Cap on the smoothed variances (levels x K x d) per slab of level constants:
-# a slab's constants take about 2x this many floats.
-_LEVEL_ELEMS = 2**16
+# a slab's constants (coef and its halved copy) take about 4x this many floats.
+_LEVEL_ELEMS = 2**15
 # Cap on the state elements (d x width) of a slab of blocks stepped as one
 # state; a slab is one block at least, so from d = 33 up it is one block.
 _STATE_ELEMS = 2**15
-# Cap on the elements (blocks x steps x BLOCK_SIZE x d) of each of a slab's
-# two noise buffers.
-_NOISE_ELEMS = 2**18
+# Cap on the elements (steps x d x width) of a slab's noise buffers together.
+_NOISE_ELEMS = 2**19
+# Noise buffers of a slab of two blocks or more, so that the threads can draw
+# up to three chunks ahead of the step; a one-block slab, whose chunks only one
+# thread at a time can draw, has two.
+_NOISE_BUFS = 4
+# Fewest steps in a chunk where the cap holds one step or more, so that a slab
+# of wide blocks is not handed its noise every step or two: from d = 129 up its
+# buffers outgrow the cap. Where the cap holds less than one step, a step's
+# draw is long enough to pay for its hand-off and a chunk is one step.
+_MIN_CHUNK = 4
 
 
 class EngineError(RuntimeError):
@@ -181,36 +198,116 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(block))))
 
 
-def _noise(pool, rngs: list, noise_std: np.ndarray, n_steps: int):
-    """Yield the noise ``noise_std * xi`` of each step, a (d, blocks, BLOCK_SIZE) view.
+class _SlabNoise:
+    """One slab's standard normals, drawn as (chunk, block) tasks by two threads.
 
     Block j's generator draws one ``(BLOCK_SIZE, d)`` standard normal per
-    step, one row per chain as the init sample. A chunk of ``m`` steps is one
-    ``(m, BLOCK_SIZE, d)`` draw, which has the bits of ``m`` draws one after
-    another. ``pool`` draws the next chunk into one buffer while the caller
-    steps with the other.
+    step, one row per chain as the init sample. The task ``(c, j)`` draws
+    chunk ``c`` of block j, its next ``chunk`` steps, as one
+    ``(steps, BLOCK_SIZE, d)`` draw, which has the bits of one draw per step,
+    into block j's part of a ``(blocks, chunk, BLOCK_SIZE, d)`` buffer. A
+    task can start once the block's previous chunk is drawn and a buffer is
+    free; the first task in (chunk, block) order that can start is the next
+    one claimed, by the worker thread or by the stepping thread while it
+    waits in ``take``.
     """
-    d = noise_std.shape[0]
-    chunk = max(1, min(n_steps, _NOISE_ELEMS // (d * len(rngs) * BLOCK_SIZE)))
-    shape = (len(rngs), chunk, BLOCK_SIZE, d)
-    bufs = [np.empty(shape) for _ in range(1 if chunk == n_steps else 2)]
 
-    def fill(buf, m):
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=buf[j, :m])
-            buf[j, :m] *= noise_std
-        return buf[:, :m].transpose(1, 3, 0, 2)
+    def __init__(self, rngs: list, d: int, n_steps: int):
+        n_bufs = 2 if len(rngs) == 1 else _NOISE_BUFS
+        steps = _NOISE_ELEMS // (n_bufs * len(rngs) * BLOCK_SIZE * d)
+        self.chunk = min(n_steps, max(steps, _MIN_CHUNK) if steps else 1)
+        self.n_chunks = -(-n_steps // self.chunk)
+        self._n_steps = n_steps
+        self._rngs = rngs
+        shape = (len(rngs), self.chunk, BLOCK_SIZE, d)
+        self._bufs = [np.empty(shape) for _ in range(min(n_bufs, self.n_chunks))]
+        self._claimed = [0] * len(rngs)  # chunks of each block claimed
+        self._drawn = [0] * len(rngs)  # chunks of each block drawn
+        self._freed = 0  # the stepping thread is done with the chunks below this
+        self._stopped = False
+        self._error = None
+        self._cond = threading.Condition()
 
-    args = (bufs[0], chunk)
-    pending = pool.submit(fill, *args)
-    for i, lo in enumerate(range(0, n_steps, chunk)):
-        # a chunk that the worker has not started, say for want of a free core, is drawn here
-        ready = fill(*args) if pending.cancel() else pending.result()
-        nxt = lo + chunk
-        if nxt < n_steps:
-            args = (bufs[(i + 1) % 2], min(chunk, n_steps - nxt))
-            pending = pool.submit(fill, *args)
-        yield from ready
+    def _claim(self):
+        """Claim the first task that can start and return it as ``(c, j)``, or None; lock held."""
+        limit = min(self.n_chunks, self._freed + len(self._bufs))
+        task = None
+        for j, c in enumerate(self._claimed):
+            if c < limit and c == self._drawn[j] and (task is None or c < task[0]):
+                task = (c, j)
+        if task is not None:
+            self._claimed[task[1]] += 1
+        return task
+
+    def _draw(self, task) -> None:
+        """Draw a claimed task; the lock is held on entry and exit, not during the draw."""
+        c, j = task
+        n = min(self.chunk, self._n_steps - c * self.chunk)
+        self._cond.release()
+        try:
+            self._rngs[j].standard_normal(out=self._bufs[c % len(self._bufs)][j, :n])
+        finally:
+            self._cond.acquire()
+        self._drawn[j] += 1
+        self._cond.notify_all()
+
+    def draw_ahead(self) -> None:
+        """The worker's part: draw tasks in order until all are claimed or ``stop`` is called."""
+        with self._cond:
+            try:
+                while not self._stopped and min(self._claimed) < self.n_chunks:
+                    task = self._claim()
+                    if task is None:
+                        self._cond.wait()
+                    else:
+                        self._draw(task)
+            except Exception as exc:  # raised by the stepping thread, which waits on this thread's draws
+                self._error = exc
+                self._cond.notify_all()
+
+    def take(self, c: int) -> np.ndarray:
+        """Chunk ``c``'s normals, ``(blocks, steps, BLOCK_SIZE, d)``, once every block has drawn it.
+
+        Frees the buffer of chunk ``c - 1``, and while the chunk is not ready
+        draws the first task that can start, if any, instead of waiting.
+        """
+        with self._cond:
+            self._freed = c
+            self._cond.notify_all()
+            while min(self._drawn) <= c:
+                if self._error is not None:
+                    raise EngineError("the noise thread failed") from self._error
+                task = self._claim()
+                if task is None:
+                    self._cond.wait()
+                else:
+                    self._draw(task)
+        return self._bufs[c % len(self._bufs)][:, : min(self.chunk, self._n_steps - c * self.chunk)]
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+
+
+class _NoiseThread:
+    """The one worker thread of a ``run_chains`` call: it draws ahead for each slab in turn."""
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, name="aldlab-noise", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for job in iter(self._jobs.get, None):
+            job.draw_ahead()
+
+    def submit(self, job: _SlabNoise) -> None:
+        self._jobs.put(job)
+
+    def join(self) -> None:
+        self._jobs.put(None)
+        self._thread.join()
 
 
 def _run_slab(
@@ -221,7 +318,7 @@ def _run_slab(
     n_rows: int,
     checkpoints: tuple,
     noise_scale: float,
-    pool: ThreadPoolExecutor,
+    thread: _NoiseThread,
 ) -> tuple[np.ndarray, dict]:
     """Step ``blocks`` as one (d, width) state, one column per chain; return the first ``n_rows`` chains."""
     d = config.dim
@@ -248,38 +345,50 @@ def _run_slab(
         pre = gam + sched.theta0 * lam / (2.0 * sched.t_horizon)
     else:
         pre = gam
-    pre = pre[:, None]
+    # per-coordinate factors as full (d, width) arrays: a contiguous operand
+    # is faster than a broadcast (d, 1) one from d = 5 up
+    pre = np.broadcast_to(pre[:, None], xt.shape).copy()
     levels = sched.levels
     dt = sched.dt
     n_steps = sched.n_steps - 1
     slab = max(1, _LEVEL_ELEMS // base_vars.size)
 
-    work = ScoreWork(xt.shape[1], d, base_vars.shape[0])
+    noise_std = np.broadcast_to(np.sqrt(2.0 * dt * gam)[:, None, None] * noise_scale, xs.shape).copy()
     finite = np.empty(xt.shape, dtype=bool)
     saved = {}
     if 0 in checkpoints:
         saved[0] = xt[:, :n_rows].T.copy()
-    noise = _noise(pool, rngs, np.sqrt(2.0 * dt * gam) * noise_scale, n_steps)
-    # overflow of a diverging state is detected right after the step
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n_steps, slab):
-            hi = min(n_steps, lo + slab)
-            center, coef, offset = level_constants(
-                means, base_vars + levels[lo:hi, None, None] * lam, log_w
-            )
-            for k, xi in zip(range(lo, hi), noise):
-                # x + dt * (pre * s) + noise_std * xi in place, in this order, so a
-                # noise-free step is x + dt * (pre * DiagGMM.score(x)) bit for bit
-                s = score_step(xt, center, coef[k - lo], offset[k - lo], work)
-                s *= pre
-                s *= dt
-                xt += s
-                xs += xi
-                if not np.isfinite(xt, out=finite)[:, :n_rows].all():
-                    row = int(np.flatnonzero(~finite[:, :n_rows].all(axis=0))[0])
-                    raise ChainDivergenceError(chain=blocks[0] * BLOCK_SIZE + row, step=k)
-                if (k + 1) in checkpoints:
-                    saved[k + 1] = xt[:, :n_rows].T.copy()
+    noise = _SlabNoise(rngs, d, n_steps)
+    thread.submit(noise)
+    try:
+        # overflow of a diverging state is detected right after the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n_steps, slab):
+                hi = min(n_steps, lo + slab)
+                center, coef, half, offset = level_constants(
+                    means, base_vars + levels[lo:hi, None, None] * lam, log_w
+                )
+                if lo == 0:
+                    work = ScoreWork(xt.shape[1], center, base_vars.shape[0])
+                for k in range(lo, hi):
+                    if k % noise.chunk == 0:
+                        xi = noise.take(k // noise.chunk)
+                    # x + dt * (pre * s) + noise_std * xi in place, in this order, so a
+                    # noise-free step is x + dt * (pre * DiagGMM.score(x)) bit for bit
+                    s = score_step(xt, coef[k - lo], half[k - lo], offset[k - lo], work)
+                    s *= pre
+                    s *= dt
+                    xt += s
+                    # the scaled noise goes to the score's array, free until the next step
+                    np.multiply(xi[:, k % noise.chunk].transpose(2, 0, 1), noise_std, out=s.reshape(xs.shape))
+                    xt += s
+                    if not np.isfinite(xt, out=finite)[:, :n_rows].all():
+                        row = int(np.flatnonzero(~finite[:, :n_rows].all(axis=0))[0])
+                        raise ChainDivergenceError(chain=blocks[0] * BLOCK_SIZE + row, step=k)
+                    if (k + 1) in checkpoints:
+                        saved[k + 1] = xt[:, :n_rows].T.copy()
+    finally:
+        noise.stop()
     return xt[:, :n_rows].T, saved
 
 
@@ -315,17 +424,20 @@ def run_chains(
     saved = {c: np.empty((n_chains, config.dim)) for c in cps}
     n_blocks = (n_chains + BLOCK_SIZE - 1) // BLOCK_SIZE
     per_slab = max(1, _STATE_ELEMS // (BLOCK_SIZE * config.dim))
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    thread = _NoiseThread()
+    try:
         for b in range(0, n_blocks, per_slab):
             blocks = range(b, min(n_blocks, b + per_slab))
             lo = b * BLOCK_SIZE
             hi = min(n_chains, blocks.stop * BLOCK_SIZE)
             rows, slab_saved = _run_slab(
-                config, target, seed, blocks, hi - lo, cps, noise_scale, pool
+                config, target, seed, blocks, hi - lo, cps, noise_scale, thread
             )
             out[lo:hi] = rows
             for c, states in slab_saved.items():
                 saved[c][lo:hi] = states
+    finally:
+        thread.join()
     return ChainBatch(samples=out, checkpoints={c: _frozen(saved[c]) for c in cps})
 
 

@@ -314,11 +314,20 @@ def _cell_task(args) -> ResultRow:
 
 
 def _fan_out(task, args: list, workers) -> list:
-    """``[task(a) for a in args]``, in a process pool when more than one worker is asked for."""
+    """``[task(a) for a in args]``, in a process pool when more than one worker is asked for.
+
+    The pool gets the tasks in descending d (``a[2]``), ties in the given
+    order, so that the longest cells do not start last; the results come
+    back in the given order.
+    """
     nworkers = max(1, int(workers or 1))
     if nworkers > 1:
+        order = sorted(range(len(args)), key=lambda i: -args[i][2])
+        out = [None] * len(args)
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            return list(pool.map(task, args))
+            for i, row in zip(order, pool.map(task, [args[i] for i in order])):
+                out[i] = row
+        return out
     return [task(a) for a in args]
 
 

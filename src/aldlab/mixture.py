@@ -116,7 +116,7 @@ class DiagGMM:
     def _log_joints(self, X) -> np.ndarray:
         """The (K, n) log joints at the rows of ``X``."""
         xt, c, work = _kernel_inputs(self.means, self.variances, np.log(self.weights), X)
-        return _log_joint(xt, *c, work)
+        return _log_joint(xt, c.half, c.offset, work)
 
     def score(self, x) -> np.ndarray:
         """Gradient of the mixture log density."""
@@ -167,12 +167,14 @@ class LevelConstants(NamedTuple):
     """The kernel's constants at one or more smoothing levels.
 
     ``center`` (d, 1) is the mean of the component means; with
-    ``m' = m - center``, ``coef`` (..., K, 2d) is ``[m'/v | 1/v]`` and
-    ``offset`` (..., K, 1) is ``log w - (sum_j m'^2/v + sum_j log v) / 2``.
+    ``m' = m - center``, ``coef`` (..., K, 2d) is ``[m'/v | 1/v]``, ``half``
+    is ``[m'/v | -1/(2v)]``, the log joints' copy with the -1/2 folded in,
+    and ``offset`` (..., K, 1) is ``log w - (sum_j m'^2/v + sum_j log v) / 2``.
     """
 
     center: np.ndarray
     coef: np.ndarray
+    half: np.ndarray
     offset: np.ndarray
 
 
@@ -181,37 +183,55 @@ def level_constants(means, variances, log_weights) -> LevelConstants:
 
     Every operation is elementwise or a reduction over the last axis, so one
     level's constants have the same bits whether built alone or in a stack.
+    Scaling by -1/2 is exact, so ``half @ [y; y*y]`` has the bits of
+    ``coef @ [y; -(y*y)/2]``.
     """
     center = means.mean(axis=0)
     mc = means - center
     inv = 1.0 / variances
     mv = mc * inv
     coef = np.concatenate((mv, inv), axis=-1)
+    half = np.concatenate((mv, inv * -0.5), axis=-1)
     offset = log_weights - 0.5 * (np.sum(mc * mv, axis=-1) + np.sum(np.log(variances), axis=-1))
-    return LevelConstants(center[:, None], coef, offset[..., None])
+    return LevelConstants(center[:, None], coef, half, offset[..., None])
 
 
 class ScoreWork:
-    """Scratch arrays of the per-step kernel for ``n`` points, ``d`` coordinates, ``k`` components."""
+    """Scratch arrays of the per-step kernel for ``n`` points around ``center`` (d, 1), ``k`` components.
 
-    def __init__(self, n: int, d: int, k: int):
-        self.y2 = np.empty((2 * d, n))  # [y; -y*y/2]
+    ``y = x - center`` is a copy of ``x`` outside ``rows``, the smallest
+    range of coordinates that holds every nonzero center entry (the lab's
+    mixtures offset their means on coordinate 1 only), and ``x - center``
+    inside it. A mean of means is never -0.0, and ``x - 0.0`` is ``x`` bit
+    for bit.
+    """
+
+    def __init__(self, n: int, center: np.ndarray, k: int):
+        d = center.shape[0]
+        nz = np.flatnonzero(center)
+        lo, hi = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+        self.rows = (lo, hi)
+        self.center = center[lo:hi]
+        self.y2 = np.empty((2 * d, n))  # [y; y*y]
         self.a = np.empty((k, n))  # log joints, then responsibilities
         self.row = np.empty(n)
-        self.g = np.empty((2 * d, n))  # [(m'/v)^T r; (1/v)^T r]
-        self.s = np.empty((d, n))
+        self.g = np.empty((2 * d, n))  # [(m'/v)^T r; (1/v)^T r], then [score; y * (1/v)^T r]
 
 
-def _log_joint(xt, center, coef, offset, work: ScoreWork) -> np.ndarray:
+def _log_joint(xt, half, offset, work: ScoreWork) -> np.ndarray:
     """Log joints ``log w_i + log N(x_n; m_i, diag v_i) + (d/2) log(2 pi)``, (K, n), into ``work.a``.
 
-    ``xt`` is (d, n), one column per point.
+    ``xt`` is (d, n), one column per point; ``half`` and ``offset`` are one
+    level's constants.
     """
     d = xt.shape[0]
-    y = np.subtract(xt, center, out=work.y2[:d])
-    q = np.multiply(y, y, out=work.y2[d:])
-    q *= -0.5
-    a = np.matmul(coef, work.y2, out=work.a)
+    lo, hi = work.rows
+    y = work.y2[:d]
+    np.copyto(y[:lo], xt[:lo])
+    np.subtract(xt[lo:hi], work.center, out=y[lo:hi])
+    np.copyto(y[hi:], xt[hi:])
+    np.multiply(y, y, out=work.y2[d:])
+    a = np.matmul(half, work.y2, out=work.a)
     a += offset
     return a
 
@@ -224,25 +244,25 @@ def _normalize(a: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
     return a
 
 
-def score_step(xt, center, coef, offset, work: ScoreWork) -> np.ndarray:
-    """The kernel's per-step part: the score (d, n) at the columns of ``xt``, in ``work.s``.
+def score_step(xt, coef, half, offset, work: ScoreWork) -> np.ndarray:
+    """The kernel's per-step part: the score (d, n) at the columns of ``xt``, in ``work.g[:d]``.
 
-    ``center``, ``coef`` and ``offset`` are one level's constants. A point
+    ``coef``, ``half`` and ``offset`` are one level's constants. A point
     that is not finite gets a score that is not finite; other points are
     unaffected.
     """
     d = xt.shape[0]
-    r = _normalize(_log_joint(xt, center, coef, offset, work), work.row)
+    r = _normalize(_log_joint(xt, half, offset, work), work.row)
     g = np.matmul(coef.T, r, out=work.g)
     yv = np.multiply(work.y2[:d], g[d:], out=g[d:])
-    return np.subtract(g[:d], yv, out=work.s)
+    return np.subtract(g[:d], yv, out=g[:d])
 
 
 def _kernel_inputs(means, variances, log_weights, x):
     """The transposed points, one level's constants and scratch arrays for ``x`` (n, d)."""
     xt = np.ascontiguousarray(np.asarray(x, dtype=float).T)
     c = level_constants(means, variances, log_weights)
-    return xt, c, ScoreWork(xt.shape[1], xt.shape[0], c.coef.shape[0])
+    return xt, c, ScoreWork(xt.shape[1], c.center, c.coef.shape[0])
 
 
 def mixture_score(means, variances, log_weights, x) -> np.ndarray:
@@ -253,7 +273,7 @@ def mixture_score(means, variances, log_weights, x) -> np.ndarray:
     mixture's score agree bit for bit.
     """
     xt, c, work = _kernel_inputs(means, variances, log_weights, x)
-    return score_step(xt, *c, work).T
+    return score_step(xt, c.coef, c.half, c.offset, work).T
 
 
 # -- construction -------------------------------------------------------

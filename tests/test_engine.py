@@ -474,6 +474,27 @@ class TestRunChains:
             run_chains(cfg, g, 1024, seed=33)
         assert (err.value.chain, err.value.step) == (569, 5)
 
+    def test_divergence_in_a_later_noise_chunk_names_chain_and_step(self):
+        # d = 25 with two blocks in one slab: with seed 4, chain 914 (row 402 of
+        # block 1) starts at 1e132 and grows 10x per step until it overflows at
+        # step 21, inside the third noise chunk and not at its first step,
+        # whether a chunk is 5 or 10 steps long
+        g = single_gaussian(d=25, var=1e-3)
+        means = np.zeros((2, 25))
+        means[1, 0] = 1e132
+        init = DiagGMM(weights=(0.999, 0.001), means=means, variances=np.full((2, 25), 1e-2))
+        cfg = ALDConfig(
+            dim=25,
+            schedule=make_schedule(40, 0.011, 1e-9),
+            gamma=PowerLaw(1.0),
+            c_base=PowerLaw(1e-9),
+            init_mixture=init,
+        )
+        with pytest.raises(ChainDivergenceError) as err:
+            run_chains(cfg, g, 1000, seed=4, checkpoints=(30,))
+        assert (err.value.chain, err.value.step) == (914, 21)
+        assert np.isfinite(run_chains(cfg, g, 914, seed=4).samples).all()
+
     def test_no_thread_outlives_the_call(self):
         # the noise thread is joined on return and on a divergence, so a
         # fork-based worker pool never forks a process that holds it
@@ -507,6 +528,42 @@ class TestRunChains:
             runs.append(np.load(out))
         assert runs[0].shape == (700, 25) and np.all(np.isfinite(runs[0]))
         np.testing.assert_array_equal(runs[0], runs[1])
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_core_keeps_bits_and_threads(self, tmp_path):
+        # pinned to one CPU, the worker and the stepping thread take turns on
+        # it; a two-block slab and a one-block slab give the bits of an
+        # unpinned run, and no thread outlives the call
+        script = (
+            "import os, sys, threading, numpy as np\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from aldlab import ALDConfig, PowerLaw, make_schedule, run_chains\n"
+            "from conftest import fig2_target\n"
+            "cfg = ALDConfig(dim=25, schedule=make_schedule(50, 9e-3, 20.0),\n"
+            "                gamma=PowerLaw(1.0, 1.5), c_base=PowerLaw(1.0, 2.7))\n"
+            "before = threading.active_count()\n"
+            "b = run_chains(cfg, fig2_target(25), 1100, seed=4, checkpoints=(0, 17))\n"
+            "assert threading.active_count() == before\n"
+            "assert len(os.sched_getaffinity(0)) == 1\n"
+            "np.savez(sys.argv[1], samples=b.samples, c0=b.checkpoints[0], c17=b.checkpoints[17])\n"
+        )
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, tests_dir, env.get("PYTHONPATH")) if p)
+        out = tmp_path / "pinned.npz"
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=300)
+        cfg = ALDConfig(
+            dim=25,
+            schedule=make_schedule(50, 9e-3, 20.0),
+            gamma=PowerLaw(1.0, 1.5),
+            c_base=PowerLaw(1.0, 2.7),
+        )
+        want = run_chains(cfg, fig2_target(25), 1100, seed=4, checkpoints=(0, 17))
+        got = np.load(out)
+        np.testing.assert_array_equal(got["samples"], want.samples)
+        np.testing.assert_array_equal(got["c0"], want.checkpoints[0])
+        np.testing.assert_array_equal(got["c17"], want.checkpoints[17])
 
     def test_init_exact_smoothed_moments(self):
         g = fig2_target(2)

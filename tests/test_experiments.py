@@ -150,6 +150,30 @@ class TestSweepExperiment:
         for key, val in serial.items():
             assert pooled[key] == val
 
+    def test_pool_gets_longest_cells_first_and_rows_keep_order(self, monkeypatch):
+        # the pool is handed the tasks in descending d, ties in the given order,
+        # and the results come back in the given order
+        handed = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                handed.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        args = [("cfg", "v", d, r) for d, r in ((1, 0), (25, 0), (5, 0), (25, 1), (10, 0))]
+        assert experiments._fan_out(lambda a: a[2:], args, 2) == [a[2:] for a in args]
+        assert [a[2:] for a in handed] == [(25, 0), (25, 1), (10, 0), (5, 0), (1, 0)]
+
     def test_torn_batch_write_leaves_no_batch(self, tmp_path, monkeypatch):
         # a run killed inside savez_compressed must not leave a partial batch
         # under the name that later cells and the robustness study load

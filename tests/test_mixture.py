@@ -15,7 +15,7 @@ from aldlab import (
     build_truncated_mixture,
     smooth,
 )
-from aldlab.mixture import mixture_score
+from aldlab.mixture import _kernel_inputs, mixture_score, score_step
 from conftest import fig2_target, fig3_target, random_mixture
 
 NAN, INF = float("nan"), float("inf")
@@ -346,6 +346,23 @@ class TestKernelOracle:
                 got = mixture_score(g.means, g.variances, np.log(g.weights), x)
                 assert np.all(np.abs(got - s) <= self.TOL * (np.abs(s) + terms)), (shift, off)
                 np.testing.assert_array_equal(g.score(x), got)
+
+    def test_center_rows_keep_the_bits_of_a_full_subtraction(self):
+        # y = x - c is a copy of x where c is zero and a subtraction elsewhere;
+        # subtracting on every row gives the same bytes, at -0.0 points too
+        means = np.zeros((3, 6))
+        means[:, 2] = (3.0, 1.0, -1.0)
+        means[:, 4] = (0.0, 2.0, 1.0)
+        g = DiagGMM(weights=(0.5, 0.3, 0.2), means=means, variances=np.full((3, 6), 0.7))
+        x = g.sample(50, np.random.default_rng(3))
+        x[::2, 5] = -0.0
+        x[1::4, 0] = -0.0
+        xt, c, work = _kernel_inputs(g.means, g.variances, np.log(g.weights), x)
+        assert work.rows == (2, 5)
+        got = score_step(xt, c.coef, c.half, c.offset, work).copy()
+        work.rows, work.center = (0, 6), c.center
+        want = score_step(xt, c.coef, c.half, c.offset, work)
+        assert got.tobytes() == want.tobytes()
 
     def test_nonfinite_row_stays_nonfinite(self):
         # a diverged chain stays diverged through the kernel, and its row
