@@ -7,8 +7,9 @@ Verbs::
     aldlab kl --p A --q B --k 20     kNN divergence between two sample files
     aldlab schedule --n 20000 --dt 9e-3 --s 20    print the smoothing levels
 
-``--seed`` overrides the config seed; ``--profile ci`` shrinks a run to desk
-scale; ``--workers N`` sets the cell worker pool (one worker by default).
+``run --seed`` overrides the config seed (a bound report draws nothing);
+``--profile ci`` shrinks a run to desk scale; ``--workers N`` sets the cell
+worker pool (one worker by default).
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound report from a config file")
     p_bounds.add_argument("config")
-    p_bounds.add_argument("--seed", type=int, default=None)
     p_bounds.add_argument("--profile", choices=("full", "ci"), default="full")
     p_bounds.set_defaults(func=cmd_bounds)
 

@@ -24,15 +24,17 @@ d = 33 up. A slab builds its level constants and kernel scratch once.
 
 A slab's noise is a set of (chunk, block) draw tasks: task (c, j) draws the
 c-th chunk of steps from block j's generator, after chunk c - 1, so every
-block still draws its normals in step order. One worker thread, started and
-joined inside each ``run_chains`` call, takes the tasks in order, up to a few
-chunks ahead of the step. The calling thread, when the chunk it needs is not
-ready, draws the first task that can start instead of waiting; on one core
-the two threads take turns. A one-block slab's chunks can only be drawn one
-after another, so there the worker mostly draws and the calling thread
-steps. The calling thread scales each step's normals into a contiguous
-``(d, width)`` array and adds it. Neither the slab width, nor the chunk
-length, nor the thread that draws a task changes a bit.
+block still draws its normals in step order. Each slab starts one worker
+thread when its step loop begins and joins it when the loop returns or
+raises. The worker takes the tasks in order, up to a few chunks ahead of the
+step. The calling thread, when the chunk it needs is not ready, draws the
+first task that can start instead of waiting; on one core the two threads
+take turns. A one-block slab's chunks can only be drawn one after another,
+so there the worker mostly draws and the calling thread steps. A draw that
+fails on either thread raises ``EngineError``. The calling thread scales
+each step's normals into a contiguous ``(d, width)`` array and adds it.
+Neither the slab width, nor the chunk length, nor the thread that draws a
+task changes a bit.
 
 Slabs run in order, and a ``ChainDivergenceError`` names the lowest
 requested chain that is non-finite at the first step where any requested
@@ -41,7 +43,6 @@ chain of its slab is non-finite.
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -72,11 +73,6 @@ _NOISE_ELEMS = 2**19
 # up to three chunks ahead of the step; a one-block slab, whose chunks only one
 # thread at a time can draw, has two.
 _NOISE_BUFS = 4
-# Fewest steps in a chunk where the cap holds one step or more, so that a slab
-# of wide blocks is not handed its noise every step or two: from d = 129 up its
-# buffers outgrow the cap. Where the cap holds less than one step, a step's
-# draw is long enough to pay for its hand-off and a chunk is one step.
-_MIN_CHUNK = 4
 
 
 class EngineError(RuntimeError):
@@ -186,9 +182,11 @@ class ChainBatch:
     checkpoints: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        checkpoints = {c: np.asarray(a, dtype=float) for c, a in self.checkpoints.items()}
+        object.__setattr__(self, "checkpoints", checkpoints)
+        for arr in (self.samples, *self.checkpoints.values()):
+            arr.setflags(write=False)
 
 
 # -- chain execution ------------------------------------------------------
@@ -209,13 +207,14 @@ class _SlabNoise:
     task can start once the block's previous chunk is drawn and a buffer is
     free; the first task in (chunk, block) order that can start is the next
     one claimed, by the worker thread or by the stepping thread while it
-    waits in ``take``.
+    waits in ``take``. The worker thread runs from ``__enter__`` to
+    ``__exit__``.
     """
 
     def __init__(self, rngs: list, d: int, n_steps: int):
         n_bufs = 2 if len(rngs) == 1 else _NOISE_BUFS
         steps = _NOISE_ELEMS // (n_bufs * len(rngs) * BLOCK_SIZE * d)
-        self.chunk = min(n_steps, max(steps, _MIN_CHUNK) if steps else 1)
+        self.chunk = min(n_steps, max(1, steps))
         self.n_chunks = -(-n_steps // self.chunk)
         self._n_steps = n_steps
         self._rngs = rngs
@@ -225,8 +224,19 @@ class _SlabNoise:
         self._drawn = [0] * len(rngs)  # chunks of each block drawn
         self._freed = 0  # the stepping thread is done with the chunks below this
         self._stopped = False
-        self._error = None
+        self._error = None  # a failed draw, on either thread
         self._cond = threading.Condition()
+        self._thread = threading.Thread(target=self._draw_ahead, name="aldlab-noise", daemon=True)
+
+    def __enter__(self) -> "_SlabNoise":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+        self._thread.join()
 
     def _claim(self):
         """Claim the first task that can start and return it as ``(c, j)``, or None; lock held."""
@@ -240,30 +250,31 @@ class _SlabNoise:
         return task
 
     def _draw(self, task) -> None:
-        """Draw a claimed task; the lock is held on entry and exit, not during the draw."""
+        """Draw a claimed task; a failure is kept in ``_error``.
+
+        The lock is held on entry and exit, not during the draw.
+        """
         c, j = task
         n = min(self.chunk, self._n_steps - c * self.chunk)
         self._cond.release()
         try:
             self._rngs[j].standard_normal(out=self._bufs[c % len(self._bufs)][j, :n])
+        except Exception as exc:
+            self._error = exc
         finally:
             self._cond.acquire()
         self._drawn[j] += 1
         self._cond.notify_all()
 
-    def draw_ahead(self) -> None:
-        """The worker's part: draw tasks in order until all are claimed or ``stop`` is called."""
+    def _draw_ahead(self) -> None:
+        """The worker's part: draw tasks in order until all are claimed, a draw fails or the slab ends."""
         with self._cond:
-            try:
-                while not self._stopped and min(self._claimed) < self.n_chunks:
-                    task = self._claim()
-                    if task is None:
-                        self._cond.wait()
-                    else:
-                        self._draw(task)
-            except Exception as exc:  # raised by the stepping thread, which waits on this thread's draws
-                self._error = exc
-                self._cond.notify_all()
+            while not self._stopped and self._error is None and min(self._claimed) < self.n_chunks:
+                task = self._claim()
+                if task is None:
+                    self._cond.wait()
+                else:
+                    self._draw(task)
 
     def take(self, c: int) -> np.ndarray:
         """Chunk ``c``'s normals, ``(blocks, steps, BLOCK_SIZE, d)``, once every block has drawn it.
@@ -274,40 +285,15 @@ class _SlabNoise:
         with self._cond:
             self._freed = c
             self._cond.notify_all()
-            while min(self._drawn) <= c:
-                if self._error is not None:
-                    raise EngineError("the noise thread failed") from self._error
+            while min(self._drawn) <= c and self._error is None:
                 task = self._claim()
                 if task is None:
                     self._cond.wait()
                 else:
                     self._draw(task)
+            if self._error is not None:
+                raise EngineError("a noise draw failed") from self._error
         return self._bufs[c % len(self._bufs)][:, : min(self.chunk, self._n_steps - c * self.chunk)]
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-
-
-class _NoiseThread:
-    """The one worker thread of a ``run_chains`` call: it draws ahead for each slab in turn."""
-
-    def __init__(self):
-        self._jobs = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, name="aldlab-noise", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        for job in iter(self._jobs.get, None):
-            job.draw_ahead()
-
-    def submit(self, job: _SlabNoise) -> None:
-        self._jobs.put(job)
-
-    def join(self) -> None:
-        self._jobs.put(None)
-        self._thread.join()
 
 
 def _run_slab(
@@ -317,8 +303,6 @@ def _run_slab(
     blocks: range,
     n_rows: int,
     checkpoints: tuple,
-    noise_scale: float,
-    thread: _NoiseThread,
 ) -> tuple[np.ndarray, dict]:
     """Step ``blocks`` as one (d, width) state, one column per chain; return the first ``n_rows`` chains."""
     d = config.dim
@@ -353,42 +337,37 @@ def _run_slab(
     n_steps = sched.n_steps - 1
     slab = max(1, _LEVEL_ELEMS // base_vars.size)
 
-    noise_std = np.broadcast_to(np.sqrt(2.0 * dt * gam)[:, None, None] * noise_scale, xs.shape).copy()
+    noise_std = np.broadcast_to(np.sqrt(2.0 * dt * gam)[:, None, None], xs.shape).copy()
     finite = np.empty(xt.shape, dtype=bool)
     saved = {}
     if 0 in checkpoints:
         saved[0] = xt[:, :n_rows].T.copy()
-    noise = _SlabNoise(rngs, d, n_steps)
-    thread.submit(noise)
-    try:
-        # overflow of a diverging state is detected right after the step
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n_steps, slab):
-                hi = min(n_steps, lo + slab)
-                center, coef, half, offset = level_constants(
-                    means, base_vars + levels[lo:hi, None, None] * lam, log_w
-                )
-                if lo == 0:
-                    work = ScoreWork(xt.shape[1], center, base_vars.shape[0])
-                for k in range(lo, hi):
-                    if k % noise.chunk == 0:
-                        xi = noise.take(k // noise.chunk)
-                    # x + dt * (pre * s) + noise_std * xi in place, in this order, so a
-                    # noise-free step is x + dt * (pre * DiagGMM.score(x)) bit for bit
-                    s = score_step(xt, coef[k - lo], half[k - lo], offset[k - lo], work)
-                    s *= pre
-                    s *= dt
-                    xt += s
-                    # the scaled noise goes to the score's array, free until the next step
-                    np.multiply(xi[:, k % noise.chunk].transpose(2, 0, 1), noise_std, out=s.reshape(xs.shape))
-                    xt += s
-                    if not np.isfinite(xt, out=finite)[:, :n_rows].all():
-                        row = int(np.flatnonzero(~finite[:, :n_rows].all(axis=0))[0])
-                        raise ChainDivergenceError(chain=blocks[0] * BLOCK_SIZE + row, step=k)
-                    if (k + 1) in checkpoints:
-                        saved[k + 1] = xt[:, :n_rows].T.copy()
-    finally:
-        noise.stop()
+    # overflow of a diverging state is detected right after the step
+    with _SlabNoise(rngs, d, n_steps) as noise, np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_steps, slab):
+            hi = min(n_steps, lo + slab)
+            center, coef, half, offset = level_constants(
+                means, base_vars + levels[lo:hi, None, None] * lam, log_w
+            )
+            if lo == 0:
+                work = ScoreWork(xt.shape[1], center, base_vars.shape[0])
+            for k in range(lo, hi):
+                if k % noise.chunk == 0:
+                    xi = noise.take(k // noise.chunk)
+                # x + dt * (pre * s) + noise_std * xi in place, in this order, so a
+                # step is x + dt * (pre * DiagGMM.score(x)) + noise_std * xi bit for bit
+                s = score_step(xt, coef[k - lo], half[k - lo], offset[k - lo], work)
+                s *= pre
+                s *= dt
+                xt += s
+                # the scaled noise goes to the score's array, free until the next step
+                np.multiply(xi[:, k % noise.chunk].transpose(2, 0, 1), noise_std, out=s.reshape(xs.shape))
+                xt += s
+                if not np.isfinite(xt, out=finite)[:, :n_rows].all():
+                    row = int(np.flatnonzero(~finite[:, :n_rows].all(axis=0))[0])
+                    raise ChainDivergenceError(chain=blocks[0] * BLOCK_SIZE + row, step=k)
+                if (k + 1) in checkpoints:
+                    saved[k + 1] = xt[:, :n_rows].T.copy()
     return xt[:, :n_rows].T, saved
 
 
@@ -398,19 +377,16 @@ def run_chains(
     n_chains: int,
     seed: int,
     checkpoints: tuple = (),
-    noise_scale: float = 1.0,
 ) -> ChainBatch:
     """Run ``n_chains`` annealed Langevin chains to the end of the schedule.
 
     ``checkpoints`` lists state indices to record along the way (state s is
-    the state after s steps; state 0 is the initialization). ``noise_scale``
-    rescales the injected noise and exists for diagnostics: 0 gives the
-    deterministic Euler flow of the drift.
+    the state after s steps; state 0 is the initialization).
 
     Slabs of blocks run in order. A ``ChainDivergenceError`` names the
     lowest requested chain that is non-finite at the first step where any
-    requested chain of its slab is non-finite. The noise thread is joined
-    before this returns or raises.
+    requested chain of its slab is non-finite. Each slab's noise thread is
+    joined before the slab returns or raises.
     """
     if n_chains < 1:
         raise EngineError(f"n_chains must be >= 1, got {n_chains}")
@@ -424,23 +400,11 @@ def run_chains(
     saved = {c: np.empty((n_chains, config.dim)) for c in cps}
     n_blocks = (n_chains + BLOCK_SIZE - 1) // BLOCK_SIZE
     per_slab = max(1, _STATE_ELEMS // (BLOCK_SIZE * config.dim))
-    thread = _NoiseThread()
-    try:
-        for b in range(0, n_blocks, per_slab):
-            blocks = range(b, min(n_blocks, b + per_slab))
-            lo = b * BLOCK_SIZE
-            hi = min(n_chains, blocks.stop * BLOCK_SIZE)
-            rows, slab_saved = _run_slab(
-                config, target, seed, blocks, hi - lo, cps, noise_scale, thread
-            )
-            out[lo:hi] = rows
-            for c, states in slab_saved.items():
-                saved[c][lo:hi] = states
-    finally:
-        thread.join()
-    return ChainBatch(samples=out, checkpoints={c: _frozen(saved[c]) for c in cps})
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+    for b in range(0, n_blocks, per_slab):
+        blocks = range(b, min(n_blocks, b + per_slab))
+        lo = b * BLOCK_SIZE
+        hi = min(n_chains, blocks.stop * BLOCK_SIZE)
+        out[lo:hi], slab_saved = _run_slab(config, target, seed, blocks, hi - lo, cps)
+        for c, states in slab_saved.items():
+            saved[c][lo:hi] = states
+    return ChainBatch(samples=out, checkpoints=saved)

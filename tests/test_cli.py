@@ -109,6 +109,14 @@ csv = {csv}
     assert (tmp_path / "bounds.txt").exists()
 
 
+def test_bounds_takes_no_seed(capsys):
+    # the bound report is closed-form and draws nothing, so no seed reaches it
+    with pytest.raises(SystemExit) as err:
+        main(["bounds", "bounds.cfg", "--seed", "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 ODD_NAMES = ("a,b", 'say "hi"')
 
 

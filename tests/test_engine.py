@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from aldlab import (
     ALDConfig,
+    ChainBatch,
     ChainDivergenceError,
     DiagGMM,
     EngineError,
@@ -43,6 +45,20 @@ def far_init_config():
     )
 
 
+def block_noise(init, seed, n, steps):
+    """The (steps, n, d) normals that ``run_chains`` draws for its first ``n`` chains.
+
+    Block b's generator, seeded by (seed, b), draws the block's init sample
+    from ``init`` and then one (BLOCK_SIZE, d) standard normal per step, one
+    row per chain.
+    """
+    rngs = [engine._block_rng(seed, b) for b in range(-(-n // engine.BLOCK_SIZE))]
+    for r in rngs:
+        init.sample(engine.BLOCK_SIZE, r)
+    draws = [[r.standard_normal((engine.BLOCK_SIZE, init.dim)) for r in rngs] for _ in range(steps)]
+    return np.stack([np.concatenate(step)[:n] for step in draws])
+
+
 def one_step(
     target,
     drift_mode="exact",
@@ -51,8 +67,12 @@ def one_step(
     s_half=20.0,
     gamma=PowerLaw(1.0, 1.5),
     c_base=PowerLaw(1.0, 2.7),
+    n=64,
+    seed=3,
 ):
-    """One noise-free ``run_chains`` step of 64 chains: the config and the batch (state 0 kept)."""
+    """One ``run_chains`` step of ``n`` chains: the config, the batch (state 0
+    kept) and the step's noise sqrt(2 dt gamma) xi, rebuilt from the block
+    generators."""
     cfg = ALDConfig(
         dim=target.dim,
         schedule=make_schedule(2, dt, s_half),
@@ -61,7 +81,21 @@ def one_step(
         drift_mode=drift_mode,
         perturbation=perturbation,
     )
-    return cfg, run_chains(cfg, target, 64, seed=3, noise_scale=0.0, checkpoints=(0,))
+    xi = block_noise(smooth(target, c_base, cfg.schedule.theta0), seed, n, 1)[0]
+    noise = np.sqrt(2.0 * dt * gamma.eigenvalues(target.dim)) * xi
+    return cfg, run_chains(cfg, target, n, seed=seed, checkpoints=(0,)), noise
+
+
+def euler_step(cfg, target, x):
+    """The noise-free first step from ``x``: x + dt * (pre * s) with the
+    preconditioned score of the smoothed drift mixture; ideal_corrected adds
+    theta0*lambda/(2T) to the preconditioner."""
+    sched = cfg.schedule
+    lam, pre = cfg.c_base.eigenvalues(cfg.dim), cfg.gamma.eigenvalues(cfg.dim)
+    if cfg.drift_mode == "ideal_corrected":
+        pre = pre + sched.theta0 * lam / (2.0 * sched.t_horizon)
+    drift_gmm = apply_perturbation(target, cfg.perturbation) if cfg.perturbation else target
+    return x + sched.dt * (pre * smooth(drift_gmm, cfg.c_base, sched.theta0).score(x))
 
 
 class TestSchedule:
@@ -126,8 +160,8 @@ class TestDrifts:
     def test_misspecified_zero_perturbation(self):
         g = fig2_target(2)
         c = PowerLaw(1.0, 4.0)
-        _, exact = one_step(g, c_base=c)
-        _, mis = one_step(g, "misspecified", MixturePerturbation(), c_base=c)
+        _, exact, _ = one_step(g, c_base=c)
+        _, mis, _ = one_step(g, "misspecified", MixturePerturbation(), c_base=c)
         np.testing.assert_array_equal(mis.samples, exact.samples)
 
     def test_misspecified_differs_and_matches_pair_oracle(self):
@@ -158,47 +192,39 @@ class TestDrifts:
         g = DiagGMM(weights=(0.5, 0.5), means=[[0.0], [0.0]], variances=[[1.0], [1.0]])
         pert = MixturePerturbation(dweights=(-0.3, 0.3))
         c = PowerLaw(1.0)
-        _, exact = one_step(g, c_base=c)
-        _, mis = one_step(g, "misspecified", pert, c_base=c)
+        _, exact, _ = one_step(g, c_base=c)
+        _, mis, _ = one_step(g, "misspecified", pert, c_base=c)
         np.testing.assert_allclose(mis.samples, exact.samples)
 
     def test_ideal_direct_substitution(self):
         # gamma=1, effective smoothing eigenvalue theta0*lambda=2, T=1: the
         # corrected drift is twice the score of the level-2 law N(0, 3)
         one = PowerLaw(1.0)
-        _, batch = one_step(
+        _, batch, noise = one_step(
             single_gaussian(), "ideal_corrected", dt=1.0, s_half=1.0, gamma=one, c_base=one
         )
-        np.testing.assert_allclose(batch.samples, batch.checkpoints[0] / 3.0)
+        np.testing.assert_allclose(batch.samples - noise, batch.checkpoints[0] / 3.0)
 
     def test_ideal_large_horizon_limit(self):
         # the path-matching term theta0*lambda/(2T) vanishes as T grows
         g = fig2_target(2)
-        _, ideal = one_step(g, "ideal_corrected", dt=1e12)
-        _, exact = one_step(g, dt=1e12)
+        _, ideal, noise = one_step(g, "ideal_corrected", dt=1e12)
+        _, exact, _ = one_step(g, dt=1e12)
         x0 = ideal.checkpoints[0]
-        np.testing.assert_allclose(ideal.samples - x0, exact.samples - x0, rtol=1e-9)
+        np.testing.assert_allclose(ideal.samples - x0 - noise, exact.samples - x0 - noise, rtol=1e-9)
 
 
 class TestEmStep:
     def test_unit_noise_scaling(self):
-        # the same seed replays the same init and noise draws, so a noisy step
-        # minus the noise-free one is the noise: sqrt(2 dt gamma) xi in every
-        # drift mode, without the path-matching term
+        # a step minus the noise-free Euler step from its state 0 is the
+        # noise: sqrt(2 dt gamma) xi in every drift mode, without the
+        # path-matching term
         g = fig2_target(2)
         gam = PowerLaw(1.0, 1.5)
         n = 4096
         for mode in ("exact", "ideal_corrected"):
-            cfg = ALDConfig(
-                dim=2,
-                schedule=make_schedule(2, 0.5, 20.0),
-                gamma=gam,
-                c_base=PowerLaw(1.0, 2.7),
-                drift_mode=mode,
-            )
-            noise = run_chains(cfg, g, n, seed=5).samples - run_chains(
-                cfg, g, n, seed=5, noise_scale=0.0
-            ).samples
+            cfg, batch, _ = one_step(g, mode, dt=0.5, gamma=gam, n=n, seed=5)
+            noise = batch.samples - euler_step(cfg, g, batch.checkpoints[0])
             ratio = noise.var(axis=0) / (2 * 0.5 * gam.eigenvalues(2))
             assert np.all(np.abs(ratio - 1.0) < 5 * math.sqrt(2.0 / n)), (mode, ratio)
 
@@ -219,21 +245,15 @@ class TestEmStep:
 
 
 class TestRunChains:
-    def test_one_step_zero_noise_is_euler(self):
+    def test_one_step_is_euler_plus_block_noise(self):
         # every drift mode steps with the preconditioned score of its smoothed
-        # drift mixture, bit for bit; ideal_corrected adds theta0*lambda/(2T)
-        # to the preconditioner
+        # drift mixture and adds sqrt(2 dt gamma) xi, bit for bit;
+        # ideal_corrected adds theta0*lambda/(2T) to the preconditioner
         g = fig2_target(2)
         pert = MixturePerturbation(dvar=PowerLaw(1.0, 3.5))
         for mode in ("exact", "misspecified", "ideal_corrected"):
-            cfg, batch = one_step(g, mode, pert if mode == "misspecified" else None)
-            sched = cfg.schedule
-            lam, pre = cfg.c_base.eigenvalues(2), cfg.gamma.eigenvalues(2)
-            if mode == "ideal_corrected":
-                pre = pre + sched.theta0 * lam / (2.0 * sched.t_horizon)
-            drift_gmm = apply_perturbation(g, pert) if mode == "misspecified" else g
-            x0 = batch.checkpoints[0]
-            expect = x0 + sched.dt * (pre * smooth(drift_gmm, cfg.c_base, sched.theta0).score(x0))
+            cfg, batch, noise = one_step(g, mode, pert if mode == "misspecified" else None)
+            expect = euler_step(cfg, g, batch.checkpoints[0]) + noise
             np.testing.assert_array_equal(batch.samples, expect, err_msg=mode)
 
     def test_determinism_and_chain_count_stability(self):
@@ -314,6 +334,12 @@ class TestRunChains:
             for c in (0, 17):
                 np.testing.assert_array_equal(x.checkpoints[c], y.checkpoints[c])
 
+    def test_batch_arrays_are_read_only(self):
+        batch = ChainBatch(samples=np.zeros((2, 1)), checkpoints={0: np.ones((2, 1))})
+        for arr in (batch.samples, batch.checkpoints[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
     def test_seed_changes_output(self):
         g = fig2_target(2)
         cfg = ALDConfig(
@@ -336,12 +362,13 @@ class TestRunChains:
             gamma=PowerLaw(1.0),
             c_base=PowerLaw(1.0),
         )
-        batch = run_chains(cfg, g, 8, seed=5, noise_scale=0.0, checkpoints=(0, 1))
+        batch = run_chains(cfg, g, 8, seed=5, checkpoints=(0, 1))
+        noise = np.sqrt(2.0 * 0.1) * block_noise(smooth(g, PowerLaw(1.0), 2.0), 5, 8, 2)
         x0 = batch.checkpoints[0]
         x1 = batch.checkpoints[1]
-        np.testing.assert_allclose(x1, x0 + 0.1 * smooth(g, PowerLaw(1.0), 2.0).score(x0))
+        np.testing.assert_allclose(x1, x0 + 0.1 * smooth(g, PowerLaw(1.0), 2.0).score(x0) + noise[0])
         np.testing.assert_allclose(
-            batch.samples, x1 + 0.1 * smooth(g, PowerLaw(1.0), 1.0).score(x1)
+            batch.samples, x1 + 0.1 * smooth(g, PowerLaw(1.0), 1.0).score(x1) + noise[1]
         )
 
     def test_single_gaussian_tracks_ou_moments(self):
@@ -507,6 +534,60 @@ class TestRunChains:
             run_chains(cfg, g, 700, seed=11)
         assert threading.active_count() == before
 
+    def test_no_thread_outlives_a_multi_slab_call(self, monkeypatch):
+        # one block per slab: each slab starts and joins its own noise
+        # thread, also when a later slab diverges, and the divergence names
+        # the chain and step of the default one-slab run
+        g = single_gaussian(d=1, var=1e-3)
+        cfg = far_init_config()
+        monkeypatch.setattr(engine, "_STATE_ELEMS", 1)
+        before = threading.active_count()
+        assert np.isfinite(run_chains(cfg, g, 914, seed=4).samples).all()
+        assert threading.active_count() == before
+        with pytest.raises(ChainDivergenceError) as err:
+            run_chains(cfg, g, 1100, seed=4)
+        assert (err.value.chain, err.value.step) == (914, 5)
+        assert threading.active_count() == before
+
+    def test_failed_draw_raises_engine_error_on_either_thread(self, monkeypatch):
+        # a chunk draw that raises on the worker or on the stepping thread
+        # surfaces as one EngineError chained from the cause, and the worker
+        # is joined; the thread that does not fail draws slowly, so that the
+        # failing one claims a task
+        class DrawFailed(Exception):
+            pass
+
+        class Draws:
+            def __init__(self, rng, fail_on_worker):
+                self._rng = rng
+                self._fail_on_worker = fail_on_worker
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:  # the init sample
+                    return self._rng.standard_normal(size)
+                on_worker = threading.current_thread() is not threading.main_thread()
+                if on_worker == self._fail_on_worker:
+                    raise DrawFailed
+                time.sleep(0.05)
+                return self._rng.standard_normal(out=out)
+
+        g = single_gaussian(d=1)
+        cfg = ALDConfig(
+            dim=1, schedule=make_schedule(20, 9e-3, 20.0), gamma=PowerLaw(1.0), c_base=PowerLaw(1.0)
+        )
+        block_rng = engine._block_rng
+        monkeypatch.setattr(engine, "_NOISE_ELEMS", 1)
+        before = threading.active_count()
+        for fail_on_worker in (True, False):
+            monkeypatch.setattr(engine, "_block_rng", lambda seed, b: Draws(block_rng(seed, b), fail_on_worker))
+            with pytest.raises(EngineError, match="a noise draw failed") as err:
+                run_chains(cfg, g, 1024, seed=2)
+            assert isinstance(err.value.__cause__, DrawFailed), fail_on_worker
+            assert threading.active_count() == before
+
     def test_blas_threads_do_not_change_bits(self, tmp_path):
         # two blocks of 700 chains give the same bits on one BLAS thread and on two
         script = (
@@ -593,7 +674,7 @@ class TestRunChains:
             c_base=PowerLaw(1.0),
             init_mixture=wrong,
         )
-        batch = run_chains(cfg, g, 4000, seed=9, noise_scale=0.0, checkpoints=(0,))
+        batch = run_chains(cfg, g, 4000, seed=9, checkpoints=(0,))
         frac = float(np.mean(batch.checkpoints[0][:, 0] > 5.0))
         assert abs(frac - 0.9) < 0.03
 
