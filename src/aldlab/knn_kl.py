@@ -11,22 +11,28 @@ no clamping is applied to the estimate itself. Distances below 1e-12 are
 raised to 1e-12 and counted, so duplicate samples are visible, not fatal.
 
 The neighbor search is brute-force and exact. It walks the queries in tiles
-small enough that a tile's screen, candidate indices and gathered candidates
-stay in cache. A GEMM screen, ``|q|^2 + |p|^2 - 2 q.p``, picks ``k + 16``
-candidates per query; the gathered candidates are then differenced and
-squared in place and re-ranked on those explicit coordinate differences, the
-same floats a full quadratic scan computes. A per-pair rounding bound on the
-screen proves for each query that its k nearest are among the candidates; a
-query whose candidate set cannot be proved complete (ties at the cut, large
-offsets that cancel in the screen) is rescanned in full. Results therefore
-match a quadratic-scan oracle bit for bit, whatever the tile size.
-:func:`knn_kl_multi` serves several k from one search per side at the
-largest k, and runs the search against Q on one worker thread while the
+small enough that a tile's screen stays in cache. One GEMM per tile gives
+the screen ``|q|^2 + |p|^2 - 2 q.p`` less the points' half of a per-pair
+rounding bound, and one partition picks each query's ``K + 16`` candidates,
+K the largest requested rank; the first screen value past them bounds every
+point left out from below. The bound then certifies each requested rank on
+the screen alone: when the points screened before it are provably nearer
+and every point after it provably farther, that rank's point is known, and
+only that (query, point) pair is differenced explicitly, in the same floats
+a quadratic scan computes. A query whose ranks cannot be certified (ties
+near a requested rank) but whose candidate set is provably complete is
+re-ranked on its candidates' explicit differences; a query whose candidate
+set cannot be proved (ties at the cut, large offsets that cancel in the
+screen) is rescanned in full. Results therefore match a quadratic-scan
+oracle bit for bit, whatever the tile size.
+:func:`knn_kl_multi` serves several k from one search per side at exactly
+those ranks, and runs the search against Q on one worker thread while the
 calling thread searches P; the thread is joined before the call returns.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,12 +40,13 @@ from typing import Sequence
 import numpy as np
 
 DIST_CLAMP = 1e-12
-# Cap on the elements of one query tile's screen and of its gathered
-# candidates: 2**16 doubles (512 KiB) keeps a tile's arrays in a core's L2
-# cache. Measured at n = m = 1000 (d = 1 to 25) and at n = m = 2500, d = 65,
-# against 2**15, 2**17, 2**18 and 2**22; see BENCH_15.json.
+# Cap on the elements of one query tile's screen and of the candidates it
+# may gather for a re-rank: 2**16 doubles (512 KiB) keeps a tile's arrays in
+# a core's L2 cache. Measured at n = m = 1000 (d = 1 to 25) and at
+# n = m = 2500, d = 65, against 2**15, 2**17, 2**18 and 2**22; see
+# BENCH_15.json. A cap on the screen alone ran no faster (BENCH_20.json).
 _CHUNK_ELEMS = 2**16
-_SLACK = 16  # screened candidates kept beyond k
+_SLACK = 16  # screened candidates kept beyond the largest requested rank
 
 
 class KnnError(ValueError):
@@ -67,37 +74,62 @@ def _check_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
-def _nearest(queries: np.ndarray, points: np.ndarray, k: int, self_cols=None) -> np.ndarray:
-    """Sorted k smallest explicit-difference distances of each query row.
+def _sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Explicit-difference squared distances of each query row to its points.
 
     ``points`` is (n, d), shared by all rows and never written, or
-    (rows, c, d), one gathered candidate set per row, which is overwritten;
-    ``self_cols`` masks each row's own column out of a shared set.
+    (rows, c, d), one gathered point set per row, which is overwritten.
     """
     if points.ndim == 2:
         diff = queries[:, None, :] - points
     else:
         diff = np.subtract(queries[:, None, :], points, out=points)
-    d2 = np.square(diff, out=diff).sum(axis=2)
+    return np.square(diff, out=diff).sum(axis=2)
+
+
+def _nearest(queries: np.ndarray, points: np.ndarray, cols: np.ndarray, self_cols=None) -> np.ndarray:
+    """Explicit-difference distances of each query row at the 0-based ranks ``cols``.
+
+    ``points`` is as for :func:`_sq_dists`; ``self_cols`` masks each row's
+    own column out of a shared set.
+    """
+    d2 = _sq_dists(queries, points)
     if self_cols is not None:
         d2[np.arange(len(self_cols)), self_cols] = np.inf
-    part = np.partition(d2, k - 1, axis=1)[:, :k]
+    part = np.partition(d2, cols[-1], axis=1)[:, : cols[-1] + 1]
     part.sort(axis=1)
-    return np.sqrt(part)
+    return np.sqrt(part[:, cols])
 
 
-def _full_scan(pts: np.ndarray, qry: np.ndarray, rows: np.ndarray, k: int, exclude_self: bool, out) -> None:
+def _full_scan(pts: np.ndarray, qry: np.ndarray, rows: np.ndarray, cols, exclude_self: bool, out) -> None:
     """Fill ``out[rows]`` by scanning every point for those query rows."""
     n, d = pts.shape
     step = max(1, _CHUNK_ELEMS // (n * d))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        out[block] = _nearest(qry[block], pts, k, block if exclude_self else None)
+        out[block] = _nearest(qry[block], pts, cols, block if exclude_self else None)
 
 
-def knn_distances(points, queries, k: int, exclude_self: bool = False) -> np.ndarray:
-    """Sorted distances to the k nearest neighbors of each query row.
+def _rerank(pts: np.ndarray, qry: np.ndarray, rows: np.ndarray, cand: np.ndarray, cols, out) -> None:
+    """Fill ``out[rows]`` by re-ranking each row's screened candidates ``cand``."""
+    out[rows] = _nearest(qry[rows], pts[cand], cols)
 
+
+def _ranks(k) -> np.ndarray:
+    """The requested ranks: 1..k for an int ``k``, else the increasing ranks given."""
+    if isinstance(k, (int, np.integer)):
+        return np.arange(1, int(k) + 1)
+    ranks = np.array([operator.index(r) for r in k], dtype=np.int64)
+    if np.any(np.diff(ranks) <= 0):
+        raise KnnError(f"ranks {tuple(k)} are not increasing")
+    return ranks
+
+
+def knn_distances(points, queries, k, exclude_self: bool = False) -> np.ndarray:
+    """Distances from each query row to its nearest neighbors at the requested ranks.
+
+    An int ``k`` asks for ranks 1..k, so the columns are the sorted k nearest
+    distances; an increasing sequence of ranks gives one column per rank.
     With ``exclude_self`` the query matrix must be the point matrix itself;
     each row then ignores its own entry (by index, not by distance).
     """
@@ -105,79 +137,114 @@ def knn_distances(points, queries, k: int, exclude_self: bool = False) -> np.nda
     qry = _check_matrix(queries, "queries")
     if pts.shape[1] != qry.shape[1]:
         raise KnnError(f"dimension mismatch: points {pts.shape[1]}, queries {qry.shape[1]}")
+    ranks = _ranks(k)
     usable = pts.shape[0] - (1 if exclude_self else 0)
-    if k < 1 or k > usable:
+    if ranks.size == 0 or ranks[0] < 1 or ranks[-1] > usable:
         raise KnnError(f"k={k} out of range for {usable} usable neighbors")
     if exclude_self and pts.shape[0] != qry.shape[0]:
         raise KnnError("exclude_self requires queries to be the point set itself")
     n, d = pts.shape
     q = qry.shape[0]
-    out = np.empty((q, k))
-    width = k + _SLACK
-    if width >= usable:  # nothing to screen away
-        _full_scan(pts, qry, np.arange(q), k, exclude_self, out)
-        return out
+    cols = ranks - 1
+    top_k = int(ranks[-1])
+    width = top_k + _SLACK
+    out = np.empty((q, len(ranks)))
 
-    # Rounding bound, per pair. Let S be the screened value and D the explicit
-    # one (the oracle's float) of query i and point j. To first order in
-    # u_r = eps / 2, in any summation order, S is off the exact squared
-    # distance by at most (2d + 3) u_r (|q_i|^2 + |p_j|^2): d u_r of it from
-    # the norms, 2 d u_r |q_i.p_j| <= d u_r (|q_i|^2 + |p_j|^2) from the dot
-    # product and 3 u_r from the two additions. D is off by at most (d + 2) u_r
-    # times the exact squared distance, which is at most 2 (|q_i|^2 + |p_j|^2).
-    # gamma = 4u / (1 - u), u = (d + 3) eps, is at least twice their sum, so
-    #     |S - D| <= gamma |q_i|^2 + gamma |p_j|^2 + tiny = eq_i + ep_j,
-    # with room for the few roundings of the proof below; tiny covers
-    # underflow. A far point widens only the bounds of its own pairs.
+    # Rounding bound, per pair. Let A = |q_i|^2 and B = |p_j|^2 exactly, S the
+    # exact squared distance, D the oracle's float (explicit differences,
+    # squared and summed), u_r = eps / 2 and g_m = m u_r / (1 - m u_r). The
+    # screen is the (d + 2)-term product s = qa_i . pa_j of
+    #     qa_i = [-2 q_i | 1 | |q_i|^2],  pa_j = [p_j ; |p_j|^2 - ep_j ; 1],
+    # whose exact value is S - ep_j but for three errors (scaling by -2 is
+    # exact):
+    #   - the norms, each a d-term sum of squares: g_d (A + B);
+    #   - the entry |p_j|^2 - ep_j, rounded once: u_r B;
+    #   - the product, in any order, with or without FMA: g_{d+2} times the
+    #     sum of its terms' magnitudes, sum_k 2 |q_ik p_jk| <= A + B plus the
+    #     two norm entries, at most 2 (A + B) (1 + g_d) in all.
+    # That is |s + ep_j - S| <= (3d + 5) u_r (A + B) to first order. D is off
+    # S by at most g_{d+2} S (differences, squares, d - 1 additions of
+    # nonnegative terms), and S <= 2 (A + B). So
+    #     |s + ep_j - D| <= (5d + 9) u_r (A + B).
+    # gamma = 6u / (1 - u), u = (d + 2) eps, is at least 12 (d + 2) u_r, more
+    # than twice that factor; with eq_i = gamma A + tiny and ep_j = gamma B,
+    #     lo = s - eq_i <= D <= s + 2 ep_j + eq_i = hi,
+    # with room for the roundings of lo, hi and their comparisons; tiny covers
+    # underflow. A far point widens only the bounds of its own pairs. Where the
+    # terms could overflow the bound means nothing, and every row is scanned.
     qn = np.einsum("ij,ij->i", qry, qry)
     pn = np.einsum("ij,ij->i", pts, pts)
-    u = (d + 3) * np.finfo(float).eps
-    gamma = 4.0 * u / (1.0 - u)
+    if width >= usable or not np.isfinite(4.0 * (qn.max() + pn.max())):
+        # nothing to screen away, or a screen that could overflow
+        _full_scan(pts, qry, np.arange(q), cols, exclude_self, out)
+        return out
+    u = (d + 2) * np.finfo(float).eps
+    gamma = 6.0 * u / (1.0 - u)
     eq = gamma * qn + np.finfo(float).tiny
     ep = gamma * pn
+    qa = np.empty((q, d + 2))
+    np.multiply(qry, -2.0, out=qa[:, :d])
+    qa[:, d] = 1.0
+    qa[:, d + 1] = qn
+    pa = np.empty((d + 2, n))
+    pa[:d] = pts.T
+    np.subtract(pn, ep, out=pa[d])
+    pa[d + 1] = 1.0
 
     step = max(1, _CHUNK_ELEMS // max(n, width * d))
     tile_rows = np.arange(min(q, step))
-    unproved = []
+    tile_base = n * tile_rows[:, None]
+    rescan = []
     for start in range(0, q, step):
         stop = min(q, start + step)
         r = tile_rows[: stop - start]
-        s = qry[start:stop] @ pts.T
-        s *= -2.0
-        s += qn[start:stop, None] + pn
+        base = tile_base[: stop - start]
+        s = qa[start:stop] @ pa
         if exclude_self:
             s[r, start + r] = np.inf
-        cand = np.argpartition(s, width - 1, axis=1)[:, :width]
-        # Proof that a row's k nearest are among its candidates: k candidates
-        # a have D_a <= S_a + ep_a + eq_i <= upper (the k-th smallest such
-        # bound), and every point j left out has D_j >= S_j - ep_j - eq_i >=
-        # lower. lower > upper puts every left-out point beyond k candidates.
-        # A finite lower also keeps the masked self entry (inf) out of them.
-        flat = cand + n * r[:, None]
+        # the candidates first, then at position width the smallest value of
+        # any point left out
+        part = np.argpartition(s, width, axis=1)
         s_flat = s.reshape(-1)
-        bound = s_flat[flat]
-        bound += ep[cand]
-        upper = np.partition(bound, k - 1, axis=1)[:, k - 1]
-        upper += eq[start:stop]
-        s -= ep
-        s_flat[flat] = np.inf
-        lower = s.min(axis=1)
-        lower -= eq[start:stop]
-        proved = np.isfinite(lower) & (lower > upper)
-        rows = start + np.flatnonzero(proved)
-        out[rows] = _nearest(qry[rows], pts[cand[proved]], k)
-        unproved.append(start + np.flatnonzero(~proved))
-    _full_scan(pts, qry, np.concatenate(unproved), k, exclude_self, out)
+        part_flat = part.reshape(-1)
+        cand = part[:, :width]
+        # the first top_k + 1 candidates in screen order
+        order = np.argsort(s_flat[cand + base], axis=1)[:, : top_k + 1]
+        top = part_flat[order + base]
+        st = s_flat[top + base]
+        # along the screen order: lo rises, and lo[:, top_k] bounds every
+        # point after the first top_k, those left out included;
+        # before[:, c] is the largest upper bound of the first c points
+        e = eq[start:stop, None]
+        lo = st - e
+        hi = st[:, :top_k] + e
+        hi += 2.0 * ep[top[:, :top_k]]
+        before = np.empty((stop - start, top_k + 1))
+        before[:, 0] = -np.inf
+        np.maximum.accumulate(hi, axis=1, out=before[:, 1:])
+        # Rank c (0-based) is certain when every point before it is nearer
+        # and every point after it farther: it is then the point top[:, c].
+        certain = ((before[:, cols] < lo[:, cols]) & (hi[:, cols] < lo[:, cols + 1])).all(axis=1)
+        # The cut is proved when the first top_k points are all nearer than
+        # every point left out; a certain row has a proved cut.
+        cut = before[:, top_k] < s[r, part[:, width]] - eq[start:stop]
+        done = np.flatnonzero(certain)
+        out[start + done] = np.sqrt(_sq_dists(qry[start + done], pts[top[done[:, None], cols]]))
+        ranked = np.flatnonzero(cut & ~certain)
+        if ranked.size:
+            _rerank(pts, qry, start + ranked, cand[ranked], cols, out)
+        rescan.append(start + np.flatnonzero(~cut))
+    _full_scan(pts, qry, np.concatenate(rescan), cols, exclude_self, out)
     return out
 
 
 def knn_kl_multi(p_samples, q_samples, ks: Sequence[int]) -> list:
     """Estimate KL(P || Q) at every k in ``ks`` from one search per side.
 
-    Each estimate equals ``knn_kl(p_samples, q_samples, k)``: both searches run
-    at the largest k and each k reads its own column. The two searches run at
-    once, the one against Q on a worker thread that is joined before this
-    returns or raises.
+    Each estimate equals ``knn_kl(p_samples, q_samples, k)``: both searches ask
+    for the distinct ks as ranks, and each k reads its own column. The two
+    searches run at once, the one against Q on a worker thread that is joined
+    before this returns or raises.
     """
     P = _check_matrix(p_samples, "P")
     Q = _check_matrix(q_samples, "Q")
@@ -194,18 +261,18 @@ def knn_kl_multi(p_samples, q_samples, ks: Sequence[int]) -> list:
         if k > m:
             raise KnnError(f"k={k} exceeds the Q sample count m={m}")
 
-    k_max = max(ks)
+    ranks = tuple(sorted(set(ks)))
     # numpy releases the interpreter lock in the GEMM, partitions and gathers,
     # so on two free cores the searches overlap; leaving the block joins the
     # worker, so no thread outlives the call (experiments forks workers).
     with ThreadPoolExecutor(max_workers=1) as pool:
-        nu_search = pool.submit(knn_distances, Q, P, k_max)
-        rho_all = knn_distances(P, P, k_max, exclude_self=True)
+        nu_search = pool.submit(knn_distances, Q, P, ranks)
+        rho_all = knn_distances(P, P, ranks, exclude_self=True)
         nu_all = nu_search.result()
     out = []
     for k in ks:
-        rho = rho_all[:, k - 1]
-        nu = nu_all[:, k - 1]
+        rho = rho_all[:, ranks.index(k)]
+        nu = nu_all[:, ranks.index(k)]
         clamped = int(np.sum(rho < DIST_CLAMP)) + int(np.sum(nu < DIST_CLAMP))
         rho = np.maximum(rho, DIST_CLAMP)
         nu = np.maximum(nu, DIST_CLAMP)

@@ -175,7 +175,7 @@ class TestSweepExperiment:
         assert [a[2:] for a in handed] == [(25, 0), (25, 1), (10, 0), (5, 0), (1, 0)]
 
     def test_torn_batch_write_leaves_no_batch(self, tmp_path, monkeypatch):
-        # a run killed inside savez_compressed must not leave a partial batch
+        # a run killed inside savez must not leave a partial batch
         # under the name that later cells and the robustness study load
         cfg = tiny_cfg(tmp_path, name="torn")
         green = variant_named(cfg, "green")
@@ -185,7 +185,7 @@ class TestSweepExperiment:
                 fh.write(b"PK\x03\x04 partial")
             raise OSError("killed mid-write")
 
-        monkeypatch.setattr(np, "savez_compressed", torn)
+        monkeypatch.setattr(np, "savez", torn)
         with pytest.raises(OSError, match="mid-write"):
             run_cell(cfg, green, 2, 0)
         monkeypatch.undo()
@@ -193,6 +193,26 @@ class TestSweepExperiment:
         again = run_cell(cfg, green, 2, 0)
         assert math.isfinite(again.kl)
         assert sum(f.endswith(".npz") for f in os.listdir(cache_dir(cfg))) == 1
+
+    def test_compressed_batch_is_served(self, tmp_path, monkeypatch):
+        # batches were once written compressed; such a batch still loads
+        # as it is and spares the simulation
+        cfg = tiny_cfg(tmp_path)
+        first = run_cell(cfg, TINY_GREEN, 2, 0)
+        cdir = cache_dir(cfg)
+        (npz,) = [os.path.join(cdir, f) for f in os.listdir(cdir) if f.endswith(".npz")]
+        with np.load(npz) as data:
+            arrays = {name: data[name] for name in ("samples", "target_samples")}
+        np.savez_compressed(npz, **arrays)
+        for f in os.listdir(cdir):
+            if f.endswith(".json"):
+                os.remove(os.path.join(cdir, f))
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a cached batch was simulated again")
+
+        monkeypatch.setattr(experiments, "run_chains", no_simulation)
+        assert run_cell(cfg, TINY_GREEN, 2, 0).kl == first.kl
 
     @pytest.mark.parametrize("spoil", ["torn", "wrong_shape", "non_finite"])
     def test_unusable_batch_is_resimulated_and_replaced(self, tmp_path, spoil):

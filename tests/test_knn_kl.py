@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aldlab import KnnError, knn_distances, knn_kl, knn_kl_multi
 
@@ -88,6 +90,20 @@ def rescanned(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def reranked(monkeypatch):
+    """Query rows that the search re-ranks on their candidates because it could not certify their ranks."""
+    rows = []
+    rerank = knn_module._rerank
+
+    def spy(pts, qry, rank_rows, *args):
+        rows.extend(int(r) for r in rank_rows)
+        return rerank(pts, qry, rank_rows, *args)
+
+    monkeypatch.setattr(knn_module, "_rerank", spy)
+    return rows
+
+
 class TestScreenedSearchExact:
     """The GEMM screen and its explicit re-rank give the oracle's floats bit for bit."""
 
@@ -108,12 +124,74 @@ class TestScreenedSearchExact:
         )
         assert rescanned == list(range(len(qry)))
 
-    def test_ties_at_the_cut_fall_back(self, rescanned):
+    def test_ties_at_the_cut_fall_back(self, rescanned, reranked):
         pts = np.array([[1.0]] * 40 + [[-1.0]] * 40 + [[3.0]] * 20)
         qry = np.array([[0.0], [2.9]])
         out = knn_distances(pts, qry, 5)
         np.testing.assert_array_equal(out, quadratic_scan_knn(pts, qry, 5))
         assert rescanned == [0]  # 80 points tie at distance 1 across the candidate cut
+        assert reranked == [1]  # 20 points tie at distance 0.1 over ranks 1..5, inside the cut
+
+    def test_ci_ranks_are_certified_on_the_screen(self, rescanned, reranked):
+        # the robustness study's ranks on CI-sized samples: every row of both
+        # searches is certified, and only its requested pairs are differenced
+        P, Q = ci_samples()
+        ranks = (20, 50, 80)
+        rho = knn_distances(P, P, ranks, exclude_self=True)
+        nu = knn_distances(Q, P, ranks)
+        assert rescanned == [] and reranked == []
+        full_rho = knn_distances(P, P, 80, exclude_self=True)
+        full_nu = knn_distances(Q, P, 80)
+        np.testing.assert_array_equal(rho, full_rho[:, [19, 49, 79]])
+        np.testing.assert_array_equal(nu, full_nu[:, [19, 49, 79]])
+        np.testing.assert_array_equal(nu[:5], quadratic_scan_knn(Q, P[:5], 80)[:, [19, 49, 79]])
+
+    def test_near_tie_at_a_requested_rank_is_reranked(self, rescanned, reranked):
+        # The query is (1, 0, ..., 0) at d = 65. On the screen `kept` (mass
+        # 5.5e-16 on coordinate 2) comes before `lost` (1e-8 on each of
+        # coordinates 9, 17, ..., 65, mass 8e-16), but the oracle's pairwise
+        # sum loses each 1e-16 of `lost` against the leading 1: `lost` is
+        # nearest at exactly 1.0 and `kept` second at 1 + 2 ulps. The 30 far
+        # points prove the cut, so only rank 1 against rank 2 can tell the
+        # order is unknown; a rank checked against the left-out bound alone
+        # would be "certified" as `kept`, 1.0000000000000002, and rank 2
+        # checked only against the ranks after it as `lost`, 1.0.
+        d = 65
+        kept = np.zeros(d)
+        kept[1] = math.sqrt(5.5e-16)
+        lost = np.zeros(d)
+        lost[8::8] = 1e-8
+        far = np.zeros((30, d))
+        far[np.arange(30), 2 + np.arange(30)] = 10.0
+        pts = np.vstack([kept, lost, far])
+        qry = np.zeros((1, d))
+        qry[0, 0] = 1.0
+        expected = quadratic_scan_knn(pts, qry, 2)
+        assert expected[0, 0] == 1.0
+        np.testing.assert_array_equal(knn_distances(pts, qry, 1), expected[:, :1])
+        np.testing.assert_array_equal(knn_distances(pts, qry, (1, 2)), expected)
+        # rank 2 alone is as unknown: the point before it may be nearer or not
+        np.testing.assert_array_equal(knn_distances(pts, qry, (2,)), expected[:, 1:])
+        assert rescanned == [] and reranked == [0, 0, 0]
+
+    def test_requested_ranks_are_checked(self, rng):
+        pts = rng.normal(size=(30, 2))
+        for ranks in [(5, 3), (3, 3), (0, 2), (), (2, 30)]:
+            with pytest.raises(KnnError):
+                knn_distances(pts, pts, ranks, exclude_self=True)
+        with pytest.raises(TypeError):
+            knn_distances(pts, pts, (1.5, 2))
+        assert knn_distances(pts, pts, (2, 30)).shape == (30, 2)
+
+    def test_overflowing_screen_scans_every_row(self, rng, rescanned):
+        # squared norms past the largest double: the screen's bound means
+        # nothing there, so no row is decided on it
+        pts = 1e154 * rng.normal(size=(40, 3))
+        with np.errstate(over="ignore"):
+            out = knn_distances(pts, pts, 3, exclude_self=True)
+            expected = quadratic_scan_knn(pts, pts, 3, exclude_self=True)
+        assert rescanned == list(range(40))
+        np.testing.assert_array_equal(out, expected)
 
     @pytest.mark.parametrize("exclude_self", [False, True])
     def test_large_offset_falls_back(self, rng, rescanned, exclude_self):
@@ -194,6 +272,33 @@ class TestScreenedSearchExact:
             if chunk == whole:
                 reference = estimates
             assert estimates == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 70),
+    d=st.integers(1, 6),
+    decimals=st.sampled_from([0, 1, 3]),
+    offset=st.sampled_from([0.0, 1e3, 1e6]),
+    exclude_self=st.booleans(),
+    data=st.data(),
+)
+def test_requested_ranks_match_the_quadratic_scan(seed, n, d, decimals, offset, exclude_self, data):
+    # coordinates rounded to a few decimals tie often, at requested ranks and
+    # at the cut; a large offset cancels in the screen
+    r = np.random.default_rng(seed)
+    pts = offset + np.round(r.normal(size=(n, d)), decimals)
+    qry = pts if exclude_self else offset + np.round(r.normal(size=(int(r.integers(1, 20)), d)), decimals)
+    usable = n - 1 if exclude_self else n
+    # half the draws leave the largest rank room for a screen (width k + 16)
+    top = data.draw(st.sampled_from([usable, max(1, usable - 17)]))
+    ranks = sorted(data.draw(st.sets(st.integers(1, top), min_size=1, max_size=4)))
+    expected = quadratic_scan_knn(pts, qry, ranks[-1], exclude_self)
+    np.testing.assert_array_equal(
+        knn_distances(pts, qry, tuple(ranks), exclude_self), expected[:, [c - 1 for c in ranks]]
+    )
+    np.testing.assert_array_equal(knn_distances(pts, qry, ranks[-1], exclude_self), expected)
 
 
 class TestKnnKlMulti:
