@@ -81,9 +81,6 @@ class ConditionReport:
                 return rec
         raise KeyError(name)
 
-    def names(self) -> tuple:
-        return tuple(rec.name for rec in self.records)
-
 
 def _slab_terms(inputs: BoundInputs) -> dict:
     """Each record's per-coordinate term over the coordinates of ``inputs``."""

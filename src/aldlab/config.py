@@ -175,7 +175,7 @@ _SCHEMAS = {
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     sections: dict = {}
-    variant_order: list = []
+    variant_keys: dict = {}  # variant name -> its keys, in file order
     current: dict | None = None
     current_name = where = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -184,16 +184,17 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             header = line[1:-1].strip()
-            if header.startswith("variant"):
-                vname = header[len("variant"):].strip()
+            word, *rest = header.split(None, 1) or [""]
+            if word == "variant":
+                vname = "".join(rest)
                 if not vname:
                     raise ConfigError(f"{source}:{lineno}: variant section needs a name")
+                if vname in variant_keys:
+                    raise ConfigError(f"{source}:{lineno}: duplicate section [variant {vname}]")
                 current_name, where = "variant", f"variant {vname!r}"
-                current = {}
-                sections.setdefault("__variants__", {})[vname] = current
-                variant_order.append(vname)
+                current = variant_keys[vname] = {}
             else:
-                if header not in _SCHEMAS or header == "variant":
+                if header not in _SCHEMAS:
                     raise ConfigError(f"{source}:{lineno}: unknown section [{header}]")
                 if header in sections:
                     raise ConfigError(f"{source}:{lineno}: duplicate section [{header}]")
@@ -230,10 +231,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     blocks = {}
     for bname, btype in _BLOCK_TYPES.items():
         blocks[bname] = btype(**sections.get(bname, {}))
-    variants = tuple(
-        VariantBlock(name=vname, **sections.get("__variants__", {})[vname])
-        for vname in variant_order
-    )
+    variants = tuple(VariantBlock(name=vname, **keys) for vname, keys in variant_keys.items())
     if not variants and kind != "bounds_report":
         variants = (VariantBlock(name="default"),)
 
@@ -287,6 +285,8 @@ def _validate(kind, blocks, variants, source):
         raise ConfigError(f"{source}: sampling sizes must be positive")
     if any(kk < 1 for kk in samp.k_values) or not samp.k_values:
         raise ConfigError(f"{source}: k values must be positive")
+    if len(set(samp.k_values)) != len(samp.k_values):
+        raise ConfigError(f"{source}: k_values {', '.join(map(str, samp.k_values))} must be distinct")
     _check_k_values(samp, source)
     for v in variants:
         if v.drift not in ("exact", "misspecified", "ideal_corrected"):

@@ -18,9 +18,12 @@ last block is partially filled. Results are therefore independent of worker
 count, execution order, and the total number of chains requested.
 
 ``run_chains`` steps slabs of consecutive blocks as one ``(d, width)`` state,
-one column per chain. The width is capped at ``_STATE_ELEMS`` state elements
-(one block at least), so a slab holds 64 blocks at d = 1 and one block from
-d = 33 up. A slab builds its level constants and kernel scratch once.
+one column per chain. A slab holds as many blocks as its noise buffers can
+hold one step of, ``_NOISE_ELEMS // (_NOISE_BUFS * BLOCK_SIZE * d)`` = 256 // d
+and one at least: 2500 chains (five blocks) are one slab up to d = 51, and
+slabs of at most 4, 3 and 2 blocks at d = 52-64, 65-85 and 86-128; from
+d = 129 up a slab is one block. A slab builds its level constants and kernel
+scratch once.
 
 A slab's noise is a set of (chunk, block) draw tasks: task (c, j) draws the
 c-th chunk of steps from block j's generator, after chunk c - 1, so every
@@ -29,12 +32,10 @@ thread when its step loop begins and joins it when the loop returns or
 raises. The worker takes the tasks in order, up to a few chunks ahead of the
 step. The calling thread, when the chunk it needs is not ready, draws the
 first task that can start instead of waiting; on one core the two threads
-take turns. A one-block slab's chunks can only be drawn one after another,
-so there the worker mostly draws and the calling thread steps. A draw that
-fails on either thread raises ``EngineError``. The calling thread scales
-each step's normals into a contiguous ``(d, width)`` array and adds it.
-Neither the slab width, nor the chunk length, nor the thread that draws a
-task changes a bit.
+take turns. A draw that fails on either thread raises ``EngineError``. The
+calling thread scales each step's normals into a contiguous ``(d, width)``
+array and adds it. Neither the slab width, nor the chunk length, nor the
+thread that draws a task changes a bit.
 
 Slabs run in order, and a ``ChainDivergenceError`` names the lowest
 requested chain that is non-finite at the first step where any requested
@@ -64,14 +65,11 @@ BLOCK_SIZE = 512
 # Cap on the smoothed variances (levels x K x d) per slab of level constants:
 # a slab's constants (coef and its halved copy) take about 4x this many floats.
 _LEVEL_ELEMS = 2**15
-# Cap on the state elements (d x width) of a slab of blocks stepped as one
-# state; a slab is one block at least, so from d = 33 up it is one block.
-_STATE_ELEMS = 2**15
-# Cap on the elements (steps x d x width) of a slab's noise buffers together.
+# Cap on the elements (steps x d x width) of a slab's noise buffers together;
+# it also sets the slab width, as many blocks as the buffers hold one step of.
 _NOISE_ELEMS = 2**19
-# Noise buffers of a slab of two blocks or more, so that the threads can draw
-# up to three chunks ahead of the step; a one-block slab, whose chunks only one
-# thread at a time can draw, has two.
+# Noise buffers of a slab, so that the threads can draw up to three chunks
+# ahead of the step.
 _NOISE_BUFS = 4
 
 
@@ -212,14 +210,13 @@ class _SlabNoise:
     """
 
     def __init__(self, rngs: list, d: int, n_steps: int):
-        n_bufs = 2 if len(rngs) == 1 else _NOISE_BUFS
-        steps = _NOISE_ELEMS // (n_bufs * len(rngs) * BLOCK_SIZE * d)
+        steps = _NOISE_ELEMS // (_NOISE_BUFS * len(rngs) * BLOCK_SIZE * d)
         self.chunk = min(n_steps, max(1, steps))
         self.n_chunks = -(-n_steps // self.chunk)
         self._n_steps = n_steps
         self._rngs = rngs
         shape = (len(rngs), self.chunk, BLOCK_SIZE, d)
-        self._bufs = [np.empty(shape) for _ in range(min(n_bufs, self.n_chunks))]
+        self._bufs = [np.empty(shape) for _ in range(min(_NOISE_BUFS, self.n_chunks))]
         self._claimed = [0] * len(rngs)  # chunks of each block claimed
         self._drawn = [0] * len(rngs)  # chunks of each block drawn
         self._freed = 0  # the stepping thread is done with the chunks below this
@@ -383,10 +380,11 @@ def run_chains(
     ``checkpoints`` lists state indices to record along the way (state s is
     the state after s steps; state 0 is the initialization).
 
-    Slabs of blocks run in order. A ``ChainDivergenceError`` names the
-    lowest requested chain that is non-finite at the first step where any
-    requested chain of its slab is non-finite. Each slab's noise thread is
-    joined before the slab returns or raises.
+    Slabs of up to ``256 // d`` blocks (one at least) run in order. A
+    ``ChainDivergenceError`` names the lowest requested chain that is
+    non-finite at the first step where any requested chain of its slab is
+    non-finite. Each slab's noise thread is joined before the slab returns or
+    raises.
     """
     if n_chains < 1:
         raise EngineError(f"n_chains must be >= 1, got {n_chains}")
@@ -399,7 +397,7 @@ def run_chains(
     out = np.empty((n_chains, config.dim))
     saved = {c: np.empty((n_chains, config.dim)) for c in cps}
     n_blocks = (n_chains + BLOCK_SIZE - 1) // BLOCK_SIZE
-    per_slab = max(1, _STATE_ELEMS // (BLOCK_SIZE * config.dim))
+    per_slab = max(1, _NOISE_ELEMS // (_NOISE_BUFS * BLOCK_SIZE * config.dim))
     for b in range(0, n_blocks, per_slab):
         blocks = range(b, min(n_blocks, b + per_slab))
         lo = b * BLOCK_SIZE

@@ -234,7 +234,8 @@ class TestReportShape:
     def test_names_and_lookup(self):
         rep = condition_report((1.0,), sigma_exponent=2.0, sigma_scales=(1.0,),
                                smooth=PowerLaw(40.0, 4.0), gamma=PowerLaw(1.0, 3.5))
-        assert "suff_kd" in rep.names()
+        assert "suff_kd" in [rec.name for rec in rep.records]
+        assert rep["suff_kd"].name == "suff_kd"
         with pytest.raises(KeyError):
             rep["nope"]
 

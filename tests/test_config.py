@@ -49,6 +49,31 @@ def test_unknown_section_rejected():
         parse_config_text(MINIMAL + "\n[scheduling]\n")
 
 
+@pytest.mark.parametrize("header", ["variants", "variantsolo"])
+def test_variant_header_needs_the_word_variant(header):
+    # [variants] used to read as a variant named 's'
+    with pytest.raises(ConfigError, match=rf"<string>:7: unknown section \[{header}\]"):
+        parse_config_text(MINIMAL + f"\n[{header}]\n")
+
+
+def test_duplicate_variant_section_rejected():
+    # a repeated header used to replace the first section's keys and give two
+    # variants of one name, which failed only when the results were written
+    bad = MINIMAL + "gamma_exponent = 1.5\n\n[variant solo]\ncbase_exponent = 2.7\n"
+    with pytest.raises(ConfigError, match=r"<string>:8: duplicate section \[variant solo\]"):
+        parse_config_text(bad)
+
+
+def test_variant_name_follows_any_whitespace():
+    cfg = parse_config_text(MINIMAL.replace("[variant solo]", "[ variant\t two words ]"))
+    assert [v.name for v in cfg.variants] == ["two words"]
+
+
+def test_variant_section_needs_a_name():
+    with pytest.raises(ConfigError, match="<string>:7: variant section needs a name"):
+        parse_config_text(MINIMAL + "\n[variant]\n")
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError, match="unknown experiment kind"):
         parse_config_text("[experiment]\nkind = fig9\n")
@@ -203,6 +228,14 @@ def test_k_values_checked_against_sample_sizes_at_parse_time():
             parse_config_text(sampling(*bad))
     for edge in ((50, 100, "1, 49"), (100, 50, "50")):
         parse_config_text(sampling(*edge))
+
+
+def test_duplicate_k_values_rejected():
+    # a repeated k used to pass, and knn_robustness then estimated every batch
+    # before it failed on a duplicate result key
+    bad = MINIMAL + "\n[sampling]\nk_values = 20, 50, 20\n"
+    with pytest.raises(ConfigError, match="k_values 20, 50, 20 must be distinct"):
+        parse_config_text(bad)
 
 
 def test_nonincreasing_d_rejected():

@@ -313,11 +313,13 @@ class TestRunChains:
         # the default steps a slab of blocks as one state and draws its noise a
         # chunk of steps ahead; one block per slab and one step per chunk give
         # the same chains. At d = 3, 49 steps are not a whole number of default
-        # chunks; at d = 25 a slab holds two blocks, so a third starts a second.
-        assert 49 % (engine._NOISE_ELEMS // (3 * 5 * engine.BLOCK_SIZE)) != 0
-        assert engine._STATE_ELEMS // (engine.BLOCK_SIZE * 25) == 2
+        # chunks of a five-block slab; at d = 65 a slab holds three blocks, so
+        # a fourth starts a second.
+        bufs = engine._NOISE_BUFS * engine.BLOCK_SIZE
+        assert 49 % (engine._NOISE_ELEMS // (bufs * 5 * 3)) != 0
+        assert engine._NOISE_ELEMS // (bufs * 65) == 3
         runs = []
-        for d, n in ((3, 100), (3, 700), (3, 2500), (25, 1100)):
+        for d, n in ((3, 100), (3, 700), (3, 2500), (65, 1600)):
             cfg = ALDConfig(
                 dim=d,
                 schedule=make_schedule(50, 9e-3, 20.0),
@@ -326,7 +328,6 @@ class TestRunChains:
             )
             runs.append((cfg, fig2_target(d), n))
         a = [run_chains(cfg, g, n, seed=4, checkpoints=(0, 17)) for cfg, g, n in runs]
-        monkeypatch.setattr(engine, "_STATE_ELEMS", 1)
         monkeypatch.setattr(engine, "_NOISE_ELEMS", 1)
         b = [run_chains(cfg, g, n, seed=4, checkpoints=(0, 17)) for cfg, g, n in runs]
         for x, y in zip(a, b):
@@ -450,9 +451,10 @@ class TestRunChains:
             assert (err.value.chain, err.value.step) == (914, 5)
 
     def test_noise_handoff_keeps_bits_under_thread_pressure(self, monkeypatch):
-        # one step per chunk hands every step's noise from the worker thread to
-        # the stepping thread; with two busy Python threads on two cores and a
-        # short switch interval, the chains keep the bits of an undisturbed run
+        # two-block slabs with one step per chunk hand every step's noise
+        # between the worker and the stepping thread; with two busy Python
+        # threads on two cores and a short switch interval, the chains keep the
+        # bits of an undisturbed run
         g = fig2_target(3)
         cfg = ALDConfig(
             dim=3,
@@ -461,7 +463,7 @@ class TestRunChains:
             c_base=PowerLaw(1.0, 2.7),
         )
         want = run_chains(cfg, g, 1100, seed=6, checkpoints=(31,))
-        monkeypatch.setattr(engine, "_NOISE_ELEMS", 1)
+        monkeypatch.setattr(engine, "_NOISE_ELEMS", 2 * engine._NOISE_BUFS * engine.BLOCK_SIZE * 3)
         stop = threading.Event()
 
         def spin():
@@ -540,7 +542,7 @@ class TestRunChains:
         # the chain and step of the default one-slab run
         g = single_gaussian(d=1, var=1e-3)
         cfg = far_init_config()
-        monkeypatch.setattr(engine, "_STATE_ELEMS", 1)
+        monkeypatch.setattr(engine, "_NOISE_ELEMS", 1)
         before = threading.active_count()
         assert np.isfinite(run_chains(cfg, g, 914, seed=4).samples).all()
         assert threading.active_count() == before
@@ -553,7 +555,8 @@ class TestRunChains:
         # a chunk draw that raises on the worker or on the stepping thread
         # surfaces as one EngineError chained from the cause, and the worker
         # is joined; the thread that does not fail draws slowly, so that the
-        # failing one claims a task
+        # failing one claims a task. A two-block slab with one step per chunk
+        # lets either thread claim one.
         class DrawFailed(Exception):
             pass
 
@@ -579,7 +582,7 @@ class TestRunChains:
             dim=1, schedule=make_schedule(20, 9e-3, 20.0), gamma=PowerLaw(1.0), c_base=PowerLaw(1.0)
         )
         block_rng = engine._block_rng
-        monkeypatch.setattr(engine, "_NOISE_ELEMS", 1)
+        monkeypatch.setattr(engine, "_NOISE_ELEMS", 2 * engine._NOISE_BUFS * engine.BLOCK_SIZE)
         before = threading.active_count()
         for fail_on_worker in (True, False):
             monkeypatch.setattr(engine, "_block_rng", lambda seed, b: Draws(block_rng(seed, b), fail_on_worker))
@@ -613,8 +616,8 @@ class TestRunChains:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_one_core_keeps_bits_and_threads(self, tmp_path):
         # pinned to one CPU, the worker and the stepping thread take turns on
-        # it; a two-block slab and a one-block slab give the bits of an
-        # unpinned run, and no thread outlives the call
+        # it; a three-block slab gives the bits of an unpinned run, and no
+        # thread outlives the call
         script = (
             "import os, sys, threading, numpy as np\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
