@@ -309,6 +309,15 @@ def _bresp(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray):
     return envelope, b_w, b_phi, band_ok
 
 
+def _resp_exact_zero(inputs: BoundInputs) -> bool:
+    """Whether the responsibility mismatch is exactly 0.
+
+    With one component every responsibility is 1 under both laws; a zero
+    perturbation changes none.
+    """
+    return inputs.n_components == 1 or inputs.is_zero_perturbation()
+
+
 def _budget_grid(inputs: BoundInputs, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Component bound, responsibility bound and its envelope at every fraction in ``kappas``.
 
@@ -325,7 +334,7 @@ def _budget_grid(inputs: BoundInputs, kappas) -> tuple[np.ndarray, np.ndarray, n
         v, vt = inputs._annealed(kappas[block])
         comp[block] = _bcomp(inputs, v, vt)
         env[block] = _bresp(inputs, v, vt)[0]
-    resp = np.zeros(len(kappas)) if inputs.is_zero_perturbation() else env
+    resp = np.zeros(len(kappas)) if _resp_exact_zero(inputs) else env
     return comp, resp, env
 
 
@@ -405,8 +414,8 @@ class BrespBound:
     """Responsibility-mismatch bound with its pieces.
 
     ``value`` is the number to use: the envelope in general, exactly 0 when
-    the perturbation is identically zero (the relaxed 48-constant envelope is
-    not tight there, so the exact-zero shortcut is reported alongside it).
+    the mismatch is (the relaxed 48-constant envelope is not tight there, so
+    the exact-zero shortcut is reported alongside it).
     """
 
     value: float
@@ -429,7 +438,7 @@ def bresp_upper(inputs: BoundInputs, kappa: float) -> BrespBound:
     sum. Finite only when every variance ratio stays inside (7/8, 9/8).
     """
     envelope, b_w, b_phi, band_ok = (x.item() for x in _bresp(inputs, *_at_fraction(inputs, kappa)))
-    exact_zero = inputs.is_zero_perturbation()
+    exact_zero = _resp_exact_zero(inputs)
     return BrespBound(
         value=0.0 if exact_zero else envelope,
         envelope=envelope,

@@ -580,7 +580,7 @@ class TestGridKernel:
             warnings.simplefilter("error")
             comp, resp, env = bounds._budget_grid(inp, kappas)
         np.testing.assert_array_equal(np.isinf(env), ~in_band)
-        np.testing.assert_array_equal(resp, env)
+        np.testing.assert_array_equal(resp, 0.0)  # one component: the mismatch is exactly 0
         assert np.all(np.isfinite(comp))
         for kap, ok in zip(kappas, in_band):
             assert bresp_upper(inp, kap).band_ok == ok
@@ -598,7 +598,8 @@ class TestGridKernel:
         assert math.isinf(b.phi_term) and math.isinf(b.envelope)
         assert np.all(np.isinf(env)) and not np.any(np.isnan(env))
         assert np.all(np.isfinite(comp))
-        assert math.isinf(budget.e_score_resp) and math.isfinite(budget.e_score_comp)
+        assert math.isinf(budget.e_score_resp_envelope) and math.isfinite(budget.e_score_comp)
+        assert budget.e_score_resp == 0.0  # one component
 
 
 class TestSingleGaussianBudget:
@@ -636,10 +637,14 @@ class TestSingleGaussianBudget:
                           dsigma=[0.02 * js**-1.0], dmeans=[0.1 * js**-1.0],
                           lambdas=2.0 * js**-2.0, gammas=js**-1.5)
         budget = error_budget(inp, 3.0, grid_size=64)
-        for line in (budget.e_init, budget.e_score_comp, budget.e_score_resp, budget.e_bias):
+        for line in (budget.e_init, budget.e_score_comp, budget.e_score_resp_envelope, budget.e_bias):
             assert math.isfinite(line) and line > 0.0
         assert budget.e_init == pytest.approx(component_init_kl(inp, 0))
-        assert budget.e_score_resp == budget.e_score_resp_envelope
+        # one component: every responsibility is 1 under both laws, so the
+        # mismatch is exactly 0 under any perturbation; the envelope stays reported
+        assert budget.e_score_resp == 0.0
+        b = bresp_upper(inp, 0.5)
+        assert b.exact_zero and b.value == 0.0 and b.envelope > 0.0
 
 
 class TestBoundInputsValidation:

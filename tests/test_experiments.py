@@ -31,6 +31,8 @@ from aldlab.experiments import (
 )
 from conftest import variant_named
 
+knn_kl_module = importlib.import_module("aldlab.knn_kl")  # the package name knn_kl is the function
+
 TINY_FIG2 = """
 [experiment]
 kind = fig2_bias_vs_dim
@@ -425,6 +427,104 @@ class TestKnnRobustness:
         rob_cfg = replace(cfg, experiment="knn_robustness")
         with pytest.raises(ExperimentError, match="run the sweep"):
             run_knn_robustness(rob_cfg)
+
+    @staticmethod
+    def _batches(cfg):
+        cdir = cache_dir(cfg)
+        return sorted(os.path.join(cdir, f) for f in os.listdir(cdir) if f.endswith(".npz"))
+
+    @staticmethod
+    def _drop_rows(cfg):
+        for f in os.listdir(cache_dir(cfg)):
+            if f.endswith(".json"):
+                os.remove(os.path.join(cache_dir(cfg), f))
+
+    @staticmethod
+    def _rewrite(npz, **stored):
+        # the batch's samples with ``stored`` in place of its estimates
+        with np.load(npz) as data:
+            arrays = {name: data[name] for name in ("samples", "target_samples")}
+        np.savez(npz, **arrays, **stored)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        search = knn_kl_module.knn_distances
+
+        def spy(points, queries, k, exclude_self=False):
+            calls.append(tuple(k))
+            return search(points, queries, k, exclude_self=exclude_self)
+
+        monkeypatch.setattr(knn_kl_module, "knn_distances", spy)
+        return calls
+
+    @staticmethod
+    def _estimates(rows):
+        return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
+
+    def test_reads_the_sweeps_stored_estimates(self, tmp_path, monkeypatch):
+        # the sweep stores every configured k beside each batch; the study reads
+        # them without a search, and they equal a search of the same batches
+        cfg = tiny_cfg(tmp_path, name="rob")
+        run_experiment(cfg)
+        rob_cfg = replace(cfg, experiment="knn_robustness")
+        calls = self._spy(monkeypatch)
+        read = run_knn_robustness(rob_cfg)
+        assert calls == []
+        for npz in self._batches(cfg):
+            with np.load(npz) as data:
+                np.testing.assert_array_equal(data["ks"], [5, 10])
+            self._rewrite(npz)
+        searched = run_knn_robustness(rob_cfg)
+        assert len(calls) == 2 * 8  # the rho and nu searches of every batch
+        assert self._estimates(read) == self._estimates(searched)
+
+    def test_ks_a_batch_lacks_are_searched(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path, name="rob")
+        run_experiment(cfg)
+        rob_cfg = replace(cfg, experiment="knn_robustness")
+        wide = replace(rob_cfg, sampling=replace(cfg.sampling, k_values=(5, 7, 10)))
+        calls = self._spy(monkeypatch)
+        rows = run_knn_robustness(wide)
+        assert set(calls) == {(7,)}  # only the k no batch stores
+        for npz in self._batches(cfg):
+            self._rewrite(npz)
+        calls.clear()
+        assert self._estimates(run_knn_robustness(wide)) == self._estimates(rows)
+        assert set(calls) == {(5, 7, 10)}
+
+    @pytest.mark.parametrize("spoil", ["length_mismatch", "nan", "zero_k", "non_integer_k"])
+    def test_spoiled_estimates_are_never_served(self, tmp_path, monkeypatch, spoil):
+        # every value below differs from the true estimates, so one served would show
+        cfg = tiny_cfg(tmp_path, name="rob")
+        run_experiment(cfg)
+        rob_cfg = replace(cfg, experiment="knn_robustness")
+        clean = run_knn_robustness(rob_cfg)
+        stored = {
+            "length_mismatch": dict(ks=np.array([5, 10]), kl=np.array([9.0, 9.0, 9.0])),
+            "nan": dict(ks=np.array([5, 10]), kl=np.array([9.0, np.nan])),
+            "zero_k": dict(ks=np.array([0, 5, 10]), kl=np.array([9.0, 9.0, 9.0])),
+            "non_integer_k": dict(ks=np.array([5.5, 10.0]), kl=np.array([9.0, 9.0])),
+        }[spoil]
+        for npz in self._batches(cfg):
+            self._rewrite(npz, **stored)
+        calls = self._spy(monkeypatch)
+        assert self._estimates(run_knn_robustness(rob_cfg)) == self._estimates(clean)
+        assert set(calls) == {(5, 10)}
+        self._drop_rows(cfg)
+        # a sweep cell whose row misses searches the batch again too
+        fresh = {(r.variant, r.d, r.repeat): r.kl for r in clean if r.k == cfg.sampling.k_primary}
+        assert {(r.variant, r.d, r.repeat): r.kl for r in run_experiment(cfg)} == fresh
+
+    def test_row_miss_reads_the_primary_estimate_from_the_batch(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path, name="rob")
+        run_cell(cfg, TINY_GREEN, 2, 0)
+        (npz,) = self._batches(cfg)
+        self._drop_rows(cfg)
+        self._rewrite(npz, ks=np.array([5, 10]), kl=np.array([0.25, 0.5]))
+        calls = self._spy(monkeypatch)
+        assert run_cell(cfg, TINY_GREEN, 2, 0).kl == 0.25
+        assert calls == []
 
     def test_k_above_sample_count_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="bigk")
