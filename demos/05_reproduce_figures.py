@@ -51,7 +51,7 @@ bounds_cfg = load_config(os.path.join(here, "..", "configs", "bounds.cfg"))
 bounds_cfg = replace(bounds_cfg,
                      output=replace(bounds_cfg.output,
                                     csv=os.path.join(workdir, "bounds.csv")))
-report = run_bounds_report(bounds_cfg, grid_size=64)
+report = run_bounds_report(bounds_cfg)
 print("\nhorizon constants from the bound report:")
 for rec in report["numeric"]:
     if rec["d"] in (5, 65):

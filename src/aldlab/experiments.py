@@ -8,7 +8,9 @@ unchanged config reuses the cache and reproduces the output byte for byte,
 and the robustness study re-estimates divergences on stored batches without
 re-simulating. A sweep cell searches its batch once at every configured k and
 stores those estimates beside the samples, so the robustness study reads them
-and searches only for the ks a batch lacks.
+and searches only for the ks a batch lacks. A batch holds the chain samples
+and those estimates only: the target sample a search compares them with is
+redrawn from the cell seed when a search needs it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import os
 import time
 import zipfile
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,30 +209,31 @@ def _batch_path(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: in
 
 
 def _load_batch(cfg: ExperimentConfig, path: str, d: int):
-    """The cached ``(chain samples, target samples, estimates)`` at ``path``, or None.
+    """The cached ``(chain samples, estimates)`` at ``path``, or None.
 
-    A batch that is missing, unreadable (torn, say), of the wrong shape or
-    not finite is None: no cache entry is ever served that a fresh
+    A batch whose samples are missing, unreadable (torn, say), of the wrong
+    shape or not finite is None: no cache entry is ever served that a fresh
     simulation could not have written. ``estimates`` maps each k the batch
     stores to its KL estimate; it is None when the batch stores none (it was
     written before estimates were stored, or compressed by hand) or when they
     are not equal-length 1-d arrays of distinct integer ks >= 1 and finite
-    values, so a spoiled estimate is searched again, never served.
+    values, so a spoiled estimate is searched again, never served. Batches
+    once stored the target sample too (``target_samples``); that member is
+    never read, as ``_target_sample`` redraws the same bits.
     """
     if not os.path.exists(path):
         return None
     estimates = None
     try:
         with np.load(path) as data:
-            arrays = data["samples"], data["target_samples"]
+            samples = data["samples"]
             if {"ks", "kl"} <= set(data.files):
                 estimates = _stored_estimates(data["ks"], data["kl"])
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
         return None
-    shapes = (cfg.sampling.n_chains, d), (cfg.sampling.n_target_samples, d)
-    if any(a.shape != shape or not np.all(np.isfinite(a)) for a, shape in zip(arrays, shapes)):
+    if samples.shape != (cfg.sampling.n_chains, d) or not np.all(np.isfinite(samples)):
         return None
-    return (*arrays, estimates)
+    return samples, estimates
 
 
 def _stored_estimates(ks: np.ndarray, kl: np.ndarray):
@@ -247,6 +249,17 @@ def _stored_estimates(ks: np.ndarray, kl: np.ndarray):
     ):
         return None
     return dict(zip(ks.tolist(), kl.tolist()))
+
+
+def _target_sample(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, n_steps: int) -> np.ndarray:
+    """The sample of the target that a cell's chains are compared with.
+
+    Drawn from the cell seed's second stream, so it is the same bits whenever
+    it is drawn: a search redraws it rather than reading it from a batch.
+    """
+    seed = cell_seed(cfg.sampling.seed, variant.name, d, repeat, n_steps)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
+    return build_target(cfg, d).sample(cfg.sampling.n_target_samples, rng)
 
 
 # What a row file holds: the fields of a cell's row that its digest does not
@@ -282,7 +295,8 @@ def run_cell(
     searched once at every configured k, and those estimates (``ks``, ``kl``)
     are written beside its samples; the row takes the primary k's. A cell
     that finds its batch cached reads the primary k's estimate from it when
-    the batch stores one, and searches the batch otherwise.
+    the batch stores one, and searches the batch otherwise. The target sample
+    is drawn (``_target_sample``) only when a search runs, and never stored.
     """
     steps = int(n_steps if n_steps is not None else cfg.schedule.n_steps)
     digest = _cell_digest(cfg, variant, d, repeat, steps)
@@ -301,27 +315,24 @@ def run_cell(
     cached = _load_batch(cfg, npz_path, d) if cache else None
     keep_batch = cache and cached is None and steps == cfg.schedule.n_steps
     if cached is not None:
-        chain_samples, p_samples, stored = cached
+        chain_samples, stored = cached
         kl = (stored or {}).get(k_primary)
     else:
-        target = build_target(cfg, d)
         ald = build_ald_config(cfg, variant, d, n_steps=steps)
         # seeded by the cell's physical identity (not the experiment kind), so
         # cached batches are interchangeable with fresh simulation everywhere
         seed = cell_seed(cfg.sampling.seed, variant.name, d, repeat, steps)
         try:
-            chain_samples = run_chains(ald, target, cfg.sampling.n_chains, seed).samples
+            chain_samples = run_chains(ald, build_target(cfg, d), cfg.sampling.n_chains, seed).samples
         except ChainDivergenceError:
             diverged = True
             keep_batch = False
-        if not diverged:
-            p_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
-            p_samples = target.sample(cfg.sampling.n_target_samples, p_rng)
     if diverged:
         kl = math.nan
     elif kl is None:
         # one search serves every k a kept batch stores; k_primary is k_values[0]
         ks = cfg.sampling.k_values if keep_batch else (k_primary,)
+        p_samples = _target_sample(cfg, variant, d, repeat, steps)
         estimates = knn_kl_multi(p_samples, chain_samples, ks)
         kl = estimates[0].value
     row = _row(cfg, variant, d, repeat, kl, "diverged" if diverged else steps, time.perf_counter() - t0)
@@ -338,7 +349,6 @@ def run_cell(
                 np.savez(
                     tmp_npz,
                     samples=chain_samples,
-                    target_samples=p_samples,
                     ks=np.array([est.k for est in estimates], dtype=np.int64),
                     kl=np.array([est.value for est in estimates]),
                 )
@@ -367,6 +377,9 @@ def _fan_out(task, args: list, workers) -> list:
     """
     nworkers = max(1, int(workers or 1))
     if nworkers > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         order = sorted(range(len(args)), key=lambda i: -args[i][2])
         out = [None] * len(args)
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
@@ -461,7 +474,8 @@ def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) 
     """Estimate stored sweep batches at every configured k, without re-simulating.
 
     A batch's stored estimates are read; only the ks it does not store are
-    searched, all in one search. A row's ``wall_time_s`` is its equal share
+    searched, all in one search, against the cell's redrawn target sample
+    (``_target_sample``). A row's ``wall_time_s`` is its equal share
     of the time spent estimating the batch, so it is near zero when every k
     was read.
     """
@@ -481,12 +495,13 @@ def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) 
                         f"no usable cached batch for variant {variant.name!r}, d={d}, "
                         f"repeat={repeat}; run the sweep experiment first (expected {npz_path})"
                     )
-                chain_samples, p_samples, stored = batch
+                chain_samples, stored = batch
                 t0 = time.perf_counter()
                 known = dict(stored or {})
                 missing = [k for k in ks if k not in known]
                 if missing:
                     # one search serves every k the batch lacks
+                    p_samples = _target_sample(cfg, variant, d, repeat, cfg.schedule.n_steps)
                     known.update((est.k, est.value) for est in knn_kl_multi(p_samples, chain_samples, missing))
                 share = (time.perf_counter() - t0) / len(ks)
                 rows.extend(
@@ -533,7 +548,7 @@ def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
     return score_inputs, init_inputs, ald.schedule
 
 
-def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_probe=(100, 1000, 10000)):
+def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock):
     tgt = cfg.target
     # the conditions are dimension-free; d = 1 only reads the variant's numerics
     ald = build_ald_config(cfg, variant, 1)
@@ -548,13 +563,14 @@ def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock, d_pro
         dsigma=pert.dvar,
         weights_tilde=np.asarray(tgt.weights) + pert.weight_shifts(len(tgt.weights)),
         mean_offsets=tgt.mean_offsets,
-        d_probe=d_probe,
     )
 
 
-def run_bounds_report(cfg: ExperimentConfig, grid_size: int = 512) -> dict:
+def run_bounds_report(cfg: ExperimentConfig) -> dict:
     """Tabulate the closed-form bounds and condition verdicts for every variant.
 
+    Each budget is integrated on ``error_budget``'s own kappa grid, and the
+    conditions are read at ``condition_report``'s own probe dimensions.
     Writes a CSV of per-(variant, d) numbers plus a text report with the
     condition verdicts, and returns everything as a dict.
     """
@@ -564,7 +580,7 @@ def run_bounds_report(cfg: ExperimentConfig, grid_size: int = 512) -> dict:
     for variant in cfg.variants:
         for d in cfg.sweep.d_values:
             score_in, init_in, sched = _variant_bound_inputs(cfg, variant, d)
-            budget = error_budget(score_in, sched.t_horizon, grid_size=grid_size, init_inputs=init_in)
+            budget = error_budget(score_in, sched.t_horizon, init_inputs=init_in)
             kd = budget.kd
             numeric.append(
                 {

@@ -273,7 +273,7 @@ class TestTiltedTerms:
 
 # -- the verdicts against the budget they guard --------------------------------------
 
-LINK_D = (100, 1000, 10000)
+LINK_D = (100, 1000, 10000)  # the probe dimensions variant_condition_report reads
 SCORE_RECORDS = ("m0_first", "m0_second", "s1_score_moment", "mpm_band_series", "band_m8")
 
 
@@ -316,7 +316,7 @@ class TestBudgetLink:
     def test_verdicts_agree_with_the_budget(self):
         readings = []
         for cfg, variant in link_cases():
-            report = variant_condition_report(cfg, variant, d_probe=LINK_D)
+            report = variant_condition_report(cfg, variant)
             budgets, score_inputs = [], []
             for d in LINK_D:
                 score_in, init_in, sched = _variant_bound_inputs(cfg, variant, d)

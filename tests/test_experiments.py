@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import importlib.util
@@ -171,7 +172,8 @@ class TestSweepExperiment:
                 handed.extend(items)
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        # _fan_out imports the pool class only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         args = [("cfg", "v", d, r) for d, r in ((1, 0), (25, 0), (5, 0), (25, 1), (10, 0))]
         assert experiments._fan_out(lambda a: a[2:], args, 2) == [a[2:] for a in args]
         assert [a[2:] for a in handed] == [(25, 0), (25, 1), (10, 0), (5, 0), (1, 0)]
@@ -204,8 +206,8 @@ class TestSweepExperiment:
         cdir = cache_dir(cfg)
         (npz,) = [os.path.join(cdir, f) for f in os.listdir(cdir) if f.endswith(".npz")]
         with np.load(npz) as data:
-            arrays = {name: data[name] for name in ("samples", "target_samples")}
-        np.savez_compressed(npz, **arrays)
+            samples = data["samples"]
+        np.savez_compressed(npz, samples=samples)
         for f in os.listdir(cdir):
             if f.endswith(".json"):
                 os.remove(os.path.join(cdir, f))
@@ -226,26 +228,33 @@ class TestSweepExperiment:
         cdir = cache_dir(cfg)
         (npz,) = [os.path.join(cdir, f) for f in os.listdir(cdir) if f.endswith(".npz")]
         with np.load(npz) as data:
-            good = {name: data[name] for name in ("samples", "target_samples")}
+            good = data["samples"]
         if spoil == "torn":
             with open(npz, "rb") as fh:
                 head = fh.read()[: os.path.getsize(npz) // 2]
             with open(npz, "wb") as fh:
                 fh.write(head)
         elif spoil == "wrong_shape":
-            np.savez_compressed(npz, samples=good["samples"][:3], target_samples=good["target_samples"])
+            np.savez_compressed(npz, samples=good[:3])
         else:
-            bad = good["samples"].copy()
+            bad = good.copy()
             bad[0, 0] = np.nan
-            np.savez_compressed(npz, samples=bad, target_samples=good["target_samples"])
+            np.savez_compressed(npz, samples=bad)
         for f in os.listdir(cdir):
             if f.endswith(".json"):
                 os.remove(os.path.join(cdir, f))
         again = run_cell(cfg, TINY_GREEN, 2, 0)
         assert again.kl == clean.kl
         with np.load(npz) as data:
-            np.testing.assert_array_equal(data["samples"], good["samples"])
-            np.testing.assert_array_equal(data["target_samples"], good["target_samples"])
+            np.testing.assert_array_equal(data["samples"], good)
+
+    def test_fresh_batch_holds_samples_and_estimates_only(self, tmp_path):
+        # the target sample is redrawn from the cell seed, never stored
+        cfg = tiny_cfg(tmp_path, name="fresh")
+        run_cell(cfg, TINY_GREEN, 2, 0)
+        (npz,) = [os.path.join(cache_dir(cfg), f) for f in os.listdir(cache_dir(cfg)) if f.endswith(".npz")]
+        with np.load(npz) as data:
+            assert sorted(data.files) == ["kl", "ks", "samples"]
 
     def test_row_file_holds_what_the_key_does_not(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="row")
@@ -443,8 +452,8 @@ class TestKnnRobustness:
     def _rewrite(npz, **stored):
         # the batch's samples with ``stored`` in place of its estimates
         with np.load(npz) as data:
-            arrays = {name: data[name] for name in ("samples", "target_samples")}
-        np.savez(npz, **arrays, **stored)
+            samples = data["samples"]
+        np.savez(npz, samples=samples, **stored)
 
     @staticmethod
     def _spy(monkeypatch):
@@ -526,6 +535,64 @@ class TestKnnRobustness:
         assert run_cell(cfg, TINY_GREEN, 2, 0).kl == 0.25
         assert calls == []
 
+    # sha256 (first 16 hex digits) of the ``target_samples`` each batch of
+    # TINY_FIG2 held when batches stored the target sample, read from batches
+    # that code wrote; the redraw must give the same bits, or the estimates
+    # those batches store and a search for the ks they lack would compare the
+    # chains with different target samples
+    STORED_TARGET_SHA256 = {
+        ("green", 1, 0): "a46e7c588456092b",
+        ("green", 1, 1): "15bc8e42d65a2990",
+        ("green", 2, 0): "5088fa1819efff6f",
+        ("green", 2, 1): "a4977d6192aa61a4",
+        ("red", 1, 0): "3ba821de750eaad8",
+        ("red", 1, 1): "c4dea1c6d152fd14",
+        ("red", 2, 0): "8dfcff1be171bfa1",
+        ("red", 2, 1): "98c00a28210314aa",
+    }
+
+    @staticmethod
+    def _cells(cfg):
+        return [(v, d, r) for v in cfg.variants for d in cfg.sweep.d_values for r in range(cfg.sampling.repeats)]
+
+    def test_redrawn_target_sample_is_the_one_batches_stored(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, name="rob")
+        got = {}
+        for variant, d, repeat in self._cells(cfg):
+            sample = experiments._target_sample(cfg, variant, d, repeat, cfg.schedule.n_steps)
+            assert sample.shape == (cfg.sampling.n_target_samples, d) and sample.dtype == np.float64
+            got[(variant.name, d, repeat)] = hashlib.sha256(sample.tobytes()).hexdigest()[:16]
+        assert got == self.STORED_TARGET_SHA256
+
+    @pytest.mark.parametrize("save", [np.savez, np.savez_compressed], ids=["plain", "compressed"])
+    def test_batches_that_store_the_target_sample_are_served(self, tmp_path, monkeypatch, save):
+        # batches once held target_samples beside samples, ks and kl, plain or
+        # compressed; such a batch is served under its name, its estimates are
+        # read, and its rows equal a fresh run's
+        cfg = tiny_cfg(tmp_path, name="rob")
+        fresh = run_experiment(cfg)
+        rob_cfg = replace(cfg, experiment="knn_robustness")
+        fresh_rob = run_knn_robustness(rob_cfg)
+        for variant, d, repeat in self._cells(cfg):
+            npz = experiments._batch_path(cfg, variant, d, repeat, cfg.schedule.n_steps)
+            with np.load(npz) as data:
+                arrays = {name: data[name] for name in ("samples", "ks", "kl")}
+            target = experiments._target_sample(cfg, variant, d, repeat, cfg.schedule.n_steps)
+            save(npz, samples=arrays["samples"], target_samples=target, ks=arrays["ks"], kl=arrays["kl"])
+        self._drop_rows(cfg)
+        calls = self._spy(monkeypatch)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a cached batch was simulated again")
+
+        monkeypatch.setattr(experiments, "run_chains", no_simulation)
+        assert self._estimates(run_experiment(cfg)) == self._estimates(fresh)
+        assert self._estimates(run_knn_robustness(rob_cfg)) == self._estimates(fresh_rob)
+        assert calls == []
+        for npz in self._batches(cfg):
+            with np.load(npz) as data:
+                assert "target_samples" in data.files  # served, not replaced
+
     def test_k_above_sample_count_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="bigk")
         run_experiment(cfg)
@@ -603,7 +670,7 @@ class TestBoundsReport:
             sweep=replace(cfg.sweep, d_values=(1, 5, 20, 65)),
             output=replace(cfg.output, csv=str(tmp_path / "bounds.csv")),
         )
-        rep = run_bounds_report(cfg, grid_size=32)
+        rep = run_bounds_report(cfg)
         assert os.path.exists(rep["csv"]) and os.path.exists(rep["txt"])
         green = rep["conditions"]["green"]
         red = rep["conditions"]["red"]
@@ -646,7 +713,7 @@ class TestBoundsReport:
             return error_budget(inputs, t_horizon, **kwargs)
 
         monkeypatch.setattr(experiments, "error_budget", recording_budget)
-        rep = run_bounds_report(cfg, grid_size=32)
+        rep = run_bounds_report(cfg)
         assert len(rep["numeric"]) == len(seen) == 4
         w_kl = weight_kl((0.75, 0.25), (0.1, 0.9))
         for rec in rep["numeric"]:
@@ -670,7 +737,7 @@ class TestBoundsReport:
             sweep=replace(cfg.sweep, d_values=(1,)),
             output=replace(cfg.output, csv=str(tmp_path / "signed.csv")),
         )
-        conditions = run_bounds_report(cfg, grid_size=32)["conditions"]
+        conditions = run_bounds_report(cfg)["conditions"]
         for name in ("s1_score_moment", "init_var"):
             assert (
                 conditions["minus"][name].partial_sum(100)
@@ -680,7 +747,7 @@ class TestBoundsReport:
 
     def test_weight_perturbation_reaches_the_conditions(self, tmp_path):
         text = BOUNDS_DWEIGHTS.replace("results/dw.csv", str(tmp_path / "dw.csv"))
-        rep = run_bounds_report(parse_config_text(text), grid_size=32)
+        rep = run_bounds_report(parse_config_text(text))
         (rec,) = rep["numeric"]
         assert rec["int_bresp"] > 0
         report = rep["conditions"]["shifted"]
