@@ -7,9 +7,10 @@ Verbs::
     aldlab kl --p A --q B --k 20     kNN divergence between two sample files
     aldlab schedule --n 20000 --dt 9e-3 --s 20    print the smoothing levels
 
-``run --seed`` overrides the config seed (a bound report draws nothing);
-``--profile ci`` shrinks a run to desk scale; ``--workers N`` sets the cell
-worker pool (one worker by default).
+``run --seed`` overrides the config seed; ``run --profile ci`` shrinks a run
+to desk scale; ``run --workers N`` sets the cell worker pool (one worker by
+default). ``bounds`` takes the config alone: its report is closed-form and
+draws nothing.
 """
 
 from __future__ import annotations
@@ -35,11 +36,18 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "profile", None) == "ci":
+    if args.profile == "ci":
         cfg = apply_ci_profile(cfg)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, sampling=replace(cfg.sampling, seed=args.seed))
     return cfg
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_run(args) -> int:
@@ -52,8 +60,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    report = run_bounds_report(cfg)
+    report = run_bounds_report(load_config(args.config))
     print(f"bounds report -> {report['csv']} and {report['txt']}")
     for vname, cond in report["conditions"].items():
         verdicts = ", ".join(f"{rec.name}={rec.verdict}" for rec in cond.records)
@@ -98,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound report from a config file")
     p_bounds.add_argument("config")
-    p_bounds.add_argument("--profile", choices=("full", "ci"), default="full")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_kl = sub.add_parser("kl", help="kNN KL estimate between two numeric matrix files")
@@ -111,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--n", required=True, type=int)
     p_sched.add_argument("--dt", required=True, type=float)
     p_sched.add_argument("--s", required=True, type=float)
-    p_sched.add_argument("--rows", type=int, default=11, help="table rows to print")
+    p_sched.add_argument("--rows", type=_positive_int, default=11, help="table rows to print (at least 1)")
     p_sched.set_defaults(func=cmd_schedule)
     return parser
 

@@ -2,22 +2,22 @@
 
 Every experiment fans out independent cells (variant, dimension, repeat),
 each seeded from the master seed and the cell key, so results never depend
-on execution order or worker count. Cells cache both their chain samples
-and their finished result rows under a content digest: a rerun with an
-unchanged config reuses the cache and reproduces the output byte for byte,
-and the robustness study re-estimates divergences on stored batches without
-re-simulating. A sweep cell searches its batch once at every configured k and
-stores those estimates beside the samples, so the robustness study reads them
-and searches only for the ks a batch lacks. A batch holds the chain samples
-and those estimates only: the target sample a search compares them with is
-redrawn from the cell seed when a search needs it.
+on execution order or worker count. Each cell has one cache record, an npz
+file named by a content digest of what the cell simulates: it holds the
+cell's KL estimates (``ks``, ``kl``) and wall time and, when the cell ran
+the config's own schedule length and did not diverge, its chain samples.
+A rerun with an unchanged config serves every row from the records and
+reproduces the output byte for byte. A sweep cell searches its samples once
+at every configured k, so the robustness study reads those estimates and
+loads samples, to search them, only for the ks a record lacks. The target
+sample a search compares the chains with is redrawn from the cell seed when
+a search needs it, never stored.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import os
 import time
@@ -51,7 +51,7 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One results-CSV row: the result of one cell, or of one step search, or one k of a batch."""
+    """One results-CSV row: the result of one cell, or of one step search, or one k of a cell."""
 
     experiment: str
     variant: str
@@ -208,36 +208,26 @@ def _batch_path(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: in
     return os.path.join(cache_dir(cfg), _batch_digest(cfg, variant, d, repeat, n_steps) + ".npz")
 
 
-def _load_batch(cfg: ExperimentConfig, path: str, d: int):
-    """The cached ``(chain samples, estimates)`` at ``path``, or None.
+def _load_record(path: str):
+    """The cell record at ``path`` as ``({k: kl}, wall_time_s)``, or None.
 
-    A batch whose samples are missing, unreadable (torn, say), of the wrong
-    shape or not finite is None: no cache entry is ever served that a fresh
-    simulation could not have written. ``estimates`` maps each k the batch
-    stores to its KL estimate; it is None when the batch stores none (it was
-    written before estimates were stored, or compressed by hand) or when they
-    are not equal-length 1-d arrays of distinct integer ks >= 1 and finite
-    values, so a spoiled estimate is searched again, never served. Batches
-    once stored the target sample too (``target_samples``); that member is
-    never read, as ``_target_sample`` redraws the same bits.
+    Reads the ``ks``, ``kl`` and ``wall_time_s`` members only, never
+    ``samples``; the zip CRC of each is checked as it is read. A record that
+    is missing, unreadable (torn, say) or unsound is None, a miss: its ks
+    and estimates must be equal-length 1-d arrays of distinct integer
+    ks >= 1 and finite values, and its wall time a finite float >= 0 of
+    shape (), so a spoiled record is never served. Empty ``ks`` and ``kl``
+    mark a cell whose chains diverged. A batch written before records held
+    their wall time has no ``wall_time_s``: it is not a record, though its
+    samples still load.
     """
     if not os.path.exists(path):
         return None
-    estimates = None
     try:
         with np.load(path) as data:
-            samples = data["samples"]
-            if {"ks", "kl"} <= set(data.files):
-                estimates = _stored_estimates(data["ks"], data["kl"])
+            ks, kl, wall = data["ks"], data["kl"], data["wall_time_s"]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
         return None
-    if samples.shape != (cfg.sampling.n_chains, d) or not np.all(np.isfinite(samples)):
-        return None
-    return samples, estimates
-
-
-def _stored_estimates(ks: np.ndarray, kl: np.ndarray):
-    """``{k: kl}`` from a batch's ``ks`` and ``kl`` arrays, or None unless both are sound."""
     if not (
         ks.ndim == kl.ndim == 1
         and ks.shape == kl.shape
@@ -246,36 +236,53 @@ def _stored_estimates(ks: np.ndarray, kl: np.ndarray):
         and np.all(ks >= 1)
         and len(np.unique(ks)) == len(ks)
         and np.all(np.isfinite(kl))
+        and wall.shape == ()
+        and wall.dtype.kind == "f"
+        and np.isfinite(wall)
+        and wall >= 0
     ):
         return None
-    return dict(zip(ks.tolist(), kl.tolist()))
+    return dict(zip(ks.tolist(), kl.tolist())), float(wall)
+
+
+def _load_samples(cfg: ExperimentConfig, path: str, d: int):
+    """The chain samples stored at ``path``, or None.
+
+    Samples that are missing, unreadable, of the wrong shape or not finite
+    are None: no samples are ever served that a fresh simulation could not
+    have written. Batches once stored the target sample too
+    (``target_samples``); that member is never read, as ``_target_sample``
+    redraws the same bits.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with np.load(path) as data:
+            samples = data["samples"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
+        return None
+    if samples.shape != (cfg.sampling.n_chains, d) or not np.all(np.isfinite(samples)):
+        return None
+    return samples
 
 
 def _target_sample(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, n_steps: int) -> np.ndarray:
     """The sample of the target that a cell's chains are compared with.
 
     Drawn from the cell seed's second stream, so it is the same bits whenever
-    it is drawn: a search redraws it rather than reading it from a batch.
+    it is drawn: a search redraws it rather than reading it from a record.
     """
     seed = cell_seed(cfg.sampling.seed, variant.name, d, repeat, n_steps)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
     return build_target(cfg, d).sample(cfg.sampling.n_target_samples, rng)
 
 
-# What a row file holds: the fields of a cell's row that its digest does not
-# fix. The names enter the digest, so a row file of another shape is a miss.
-_ROW_FIELDS = ("kl", "steps", "wall_time_s")
-
-
-def _cell_digest(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, n_steps: int) -> str:
-    text = "|".join(
-        [
-            _batch_digest(cfg, variant, d, repeat, n_steps),
-            f"k={cfg.sampling.k_primary}",
-            "row=" + ",".join(_ROW_FIELDS),
-        ]
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:20]
+def _search(
+    cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, n_steps: int, chain_samples, ks
+) -> dict:
+    """``{k: kl}`` for a cell's chain samples at each of ``ks``, from one search."""
+    p_samples = _target_sample(cfg, variant, d, repeat, n_steps)
+    return {est.k: est.value for est in knn_kl_multi(p_samples, chain_samples, ks)}
 
 
 def run_cell(
@@ -288,79 +295,72 @@ def run_cell(
 ) -> ResultRow:
     """Simulate one (variant, d, repeat) cell and estimate its divergence at the primary k.
 
-    Its row is cached by content digest; a cache hit returns the stored row
-    verbatim (including its original wall time, so reruns reproduce output
-    bytes). A cell that runs the config's own schedule length also caches its
-    chain batch, the one the robustness study re-estimates. Such a batch is
-    searched once at every configured k, and those estimates (``ks``, ``kl``)
-    are written beside its samples; the row takes the primary k's. A cell
-    that finds its batch cached reads the primary k's estimate from it when
-    the batch stores one, and searches the batch otherwise. The target sample
-    is drawn (``_target_sample``) only when a search runs, and never stored.
+    The cell's cache record (``_batch_path``) holds its estimates (``ks``,
+    ``kl``) and its wall time, and, when the cell ran the config's own
+    schedule length and did not diverge, its chain ``samples``, the ones the
+    robustness study re-estimates. A cell has three outcomes:
+
+    - its record holds the primary k, or marks the cell diverged: the row
+      comes from the record, with its stored wall time, so reruns reproduce
+      output bytes;
+    - its record lacks the primary k, but the file holds usable samples:
+      they are searched and the file is rewritten;
+    - otherwise the cell is simulated, searched and written.
+
+    A search of samples kept in the record runs once at every configured k,
+    one of any other length at the primary k alone; the target sample is
+    drawn (``_target_sample``) only then, and never stored.
     """
     steps = int(n_steps if n_steps is not None else cfg.schedule.n_steps)
-    digest = _cell_digest(cfg, variant, d, repeat, steps)
-    cdir = cache_dir(cfg)
-    row_path = os.path.join(cdir, digest + ".json")
-    npz_path = _batch_path(cfg, variant, d, repeat, steps)
-    if cache and os.path.exists(row_path):
-        with open(row_path, "r", encoding="utf-8") as fh:
-            return _row(cfg, variant, d, repeat, **json.load(fh))
-
-    t0 = time.perf_counter()
-    diverged = False
-    kl = None
+    path = _batch_path(cfg, variant, d, repeat, steps)
     k_primary = cfg.sampling.k_primary
-    # simulated before (possibly under a different k): reuse the batch
-    cached = _load_batch(cfg, npz_path, d) if cache else None
-    keep_batch = cache and cached is None and steps == cfg.schedule.n_steps
-    if cached is not None:
-        chain_samples, stored = cached
-        kl = (stored or {}).get(k_primary)
-    else:
-        ald = build_ald_config(cfg, variant, d, n_steps=steps)
-        # seeded by the cell's physical identity (not the experiment kind), so
-        # cached batches are interchangeable with fresh simulation everywhere
-        seed = cell_seed(cfg.sampling.seed, variant.name, d, repeat, steps)
-        try:
-            chain_samples = run_chains(ald, build_target(cfg, d), cfg.sampling.n_chains, seed).samples
-        except ChainDivergenceError:
-            diverged = True
-            keep_batch = False
-    if diverged:
-        kl = math.nan
-    elif kl is None:
-        # one search serves every k a kept batch stores; k_primary is k_values[0]
-        ks = cfg.sampling.k_values if keep_batch else (k_primary,)
-        p_samples = _target_sample(cfg, variant, d, repeat, steps)
-        estimates = knn_kl_multi(p_samples, chain_samples, ks)
-        kl = estimates[0].value
-    row = _row(cfg, variant, d, repeat, kl, "diverged" if diverged else steps, time.perf_counter() - t0)
-    if cache:
-        os.makedirs(cdir, exist_ok=True)
-        if keep_batch:
-            # written aside and renamed, so a killed run never leaves a torn
-            # batch under the name later cells load, and an unusable batch
-            # there is replaced; the temporary name ends in .npz because
-            # numpy appends that suffix to any other name. Uncompressed:
-            # random doubles shrink by about 4%, not worth the deflate time.
-            tmp_npz = npz_path[: -len(".npz")] + f".tmp{os.getpid()}.npz"
+    record = _load_record(path) if cache else None
+    # a record with no estimates is a diverged cell's, which a rerun would repeat
+    if record is None or (record[0] and k_primary not in record[0]):
+        t0 = time.perf_counter()
+        # simulated before (possibly under a different k): search the stored samples
+        chain_samples = _load_samples(cfg, path, d) if cache else None
+        if chain_samples is None:
+            ald = build_ald_config(cfg, variant, d, n_steps=steps)
+            # seeded by the cell's physical identity (not the experiment kind), so
+            # cached samples are interchangeable with fresh simulation everywhere
+            seed = cell_seed(cfg.sampling.seed, variant.name, d, repeat, steps)
             try:
-                np.savez(
-                    tmp_npz,
-                    samples=chain_samples,
-                    ks=np.array([est.k for est in estimates], dtype=np.int64),
-                    kl=np.array([est.value for est in estimates]),
-                )
-                os.replace(tmp_npz, npz_path)
+                chain_samples = run_chains(ald, build_target(cfg, d), cfg.sampling.n_chains, seed).samples
+            except ChainDivergenceError:
+                pass
+        keep_samples = chain_samples is not None and steps == cfg.schedule.n_steps
+        estimates = {}
+        if chain_samples is not None:
+            # k_primary is k_values[0]
+            ks = cfg.sampling.k_values if keep_samples else (k_primary,)
+            estimates = _search(cfg, variant, d, repeat, steps, chain_samples, ks)
+        record = estimates, time.perf_counter() - t0
+        if cache:
+            arrays = dict(
+                ks=np.array(list(estimates), dtype=np.int64),
+                kl=np.array(list(estimates.values()), dtype=np.float64),
+                wall_time_s=np.float64(record[1]),
+            )
+            if keep_samples:
+                arrays["samples"] = chain_samples
+            # written aside and renamed, so a killed run never leaves a torn
+            # record under the name later cells load, and an unusable record
+            # there is replaced; the temporary name ends in .npz because numpy
+            # appends that suffix to any other name. Uncompressed: random
+            # doubles shrink by about 4%, not worth the deflate time.
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            tmp = path[: -len(".npz")] + f".tmp{os.getpid()}.npz"
+            try:
+                np.savez(tmp, **arrays)
+                os.replace(tmp, path)
             finally:
-                if os.path.exists(tmp_npz):
-                    os.remove(tmp_npz)
-        tmp = row_path + f".tmp{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({name: getattr(row, name) for name in _ROW_FIELDS}, fh)
-        os.replace(tmp, row_path)
-    return row
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+    estimates, wall_time_s = record
+    if not estimates:
+        return _row(cfg, variant, d, repeat, math.nan, "diverged", wall_time_s)
+    return _row(cfg, variant, d, repeat, estimates[k_primary], steps, wall_time_s)
 
 
 def _cell_task(args) -> ResultRow:
@@ -471,42 +471,41 @@ def run_fig1_steps_to_accuracy(cfg: ExperimentConfig, workers=None, cache: bool 
 
 
 def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
-    """Estimate stored sweep batches at every configured k, without re-simulating.
+    """Estimate cached sweep cells at every configured k, without re-simulating.
 
-    A batch's stored estimates are read; only the ks it does not store are
-    searched, all in one search, against the cell's redrawn target sample
-    (``_target_sample``). A row's ``wall_time_s`` is its equal share
-    of the time spent estimating the batch, so it is near zero when every k
-    was read.
+    A cell's estimates are read from its record (``_load_record``); its
+    samples are loaded only for the ks the record lacks, and searched at
+    those ks alone, in one search against the cell's redrawn target sample.
+    A cell with no usable samples to search, diverged or never run, is an
+    error naming it. A row's ``wall_time_s`` is its equal share of the time
+    spent estimating the cell, so it is near zero when every k was read.
     """
     if not cache:
         raise ExperimentError(
             "the knn_robustness study only re-estimates cached chain batches; it cannot run without the cache"
         )
     ks = cfg.sampling.k_values
+    steps = cfg.schedule.n_steps
     rows = []
     for variant in cfg.variants:
         for d in cfg.sweep.d_values:
             for repeat in range(cfg.sampling.repeats):
-                npz_path = _batch_path(cfg, variant, d, repeat, cfg.schedule.n_steps)
-                batch = _load_batch(cfg, npz_path, d)
-                if batch is None:
-                    raise ExperimentError(
-                        f"no usable cached batch for variant {variant.name!r}, d={d}, "
-                        f"repeat={repeat}; run the sweep experiment first (expected {npz_path})"
-                    )
-                chain_samples, stored = batch
                 t0 = time.perf_counter()
-                known = dict(stored or {})
+                path = _batch_path(cfg, variant, d, repeat, steps)
+                record = _load_record(path)
+                known = record[0] if record is not None else {}
                 missing = [k for k in ks if k not in known]
                 if missing:
-                    # one search serves every k the batch lacks
-                    p_samples = _target_sample(cfg, variant, d, repeat, cfg.schedule.n_steps)
-                    known.update((est.k, est.value) for est in knn_kl_multi(p_samples, chain_samples, missing))
+                    chain_samples = _load_samples(cfg, path, d)
+                    if chain_samples is None:
+                        raise ExperimentError(
+                            f"no usable cached samples for variant {variant.name!r}, d={d}, "
+                            f"repeat={repeat}; run the sweep experiment first (expected {path}; "
+                            "a diverged cell keeps none)"
+                        )
+                    known.update(_search(cfg, variant, d, repeat, steps, chain_samples, missing))
                 share = (time.perf_counter() - t0) / len(ks)
-                rows.extend(
-                    _row(cfg, variant, d, repeat, known[k], cfg.schedule.n_steps, share, k=k) for k in ks
-                )
+                rows.extend(_row(cfg, variant, d, repeat, known[k], steps, share, k=k) for k in ks)
     return rows
 
 

@@ -20,6 +20,14 @@ def test_schedule_verb(capsys):
     assert last[0] == "19999" and float(last[1]) == 0.0
 
 
+@pytest.mark.parametrize("rows", ["0", "-1"])
+def test_schedule_rows_below_one_rejected(capsys, rows):
+    with pytest.raises(SystemExit) as err:
+        main(["schedule", "--n", "100", "--dt", "0.1", "--s", "5", "--rows", rows])
+    assert err.value.code == 2
+    assert f"argument --rows: must be at least 1, got {rows}" in capsys.readouterr().err
+
+
 def test_kl_verb(tmp_path, capsys):
     rng = np.random.default_rng(3)
     p = rng.normal(size=(400, 2))
@@ -109,12 +117,14 @@ csv = {csv}
     assert (tmp_path / "bounds.txt").exists()
 
 
-def test_bounds_takes_no_seed(capsys):
-    # the bound report is closed-form and draws nothing, so no seed reaches it
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--profile", "ci"]], ids=["seed", "profile"])
+def test_bounds_takes_no_seed(capsys, option):
+    # the bound report is closed-form and draws nothing, so neither a seed nor
+    # a desk-scale profile reaches it
     with pytest.raises(SystemExit) as err:
-        main(["bounds", "bounds.cfg", "--seed", "1"])
+        main(["bounds", "bounds.cfg", *option])
     assert err.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
 
 
 ODD_NAMES = ("a,b", 'say "hi"')

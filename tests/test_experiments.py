@@ -208,13 +208,6 @@ class TestSweepExperiment:
         with np.load(npz) as data:
             samples = data["samples"]
         np.savez_compressed(npz, samples=samples)
-        for f in os.listdir(cdir):
-            if f.endswith(".json"):
-                os.remove(os.path.join(cdir, f))
-
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("a cached batch was simulated again")
-
         monkeypatch.setattr(experiments, "run_chains", no_simulation)
         assert run_cell(cfg, TINY_GREEN, 2, 0).kl == first.kl
 
@@ -240,9 +233,6 @@ class TestSweepExperiment:
             bad = good.copy()
             bad[0, 0] = np.nan
             np.savez_compressed(npz, samples=bad)
-        for f in os.listdir(cdir):
-            if f.endswith(".json"):
-                os.remove(os.path.join(cdir, f))
         again = run_cell(cfg, TINY_GREEN, 2, 0)
         assert again.kl == clean.kl
         with np.load(npz) as data:
@@ -252,40 +242,97 @@ class TestSweepExperiment:
         # the target sample is redrawn from the cell seed, never stored
         cfg = tiny_cfg(tmp_path, name="fresh")
         run_cell(cfg, TINY_GREEN, 2, 0)
-        (npz,) = [os.path.join(cache_dir(cfg), f) for f in os.listdir(cache_dir(cfg)) if f.endswith(".npz")]
+        (npz,) = [os.path.join(cache_dir(cfg), f) for f in os.listdir(cache_dir(cfg))]
         with np.load(npz) as data:
-            assert sorted(data.files) == ["kl", "ks", "samples"]
+            assert sorted(data.files) == ["kl", "ks", "samples", "wall_time_s"]
 
-    def test_row_file_holds_what_the_key_does_not(self, tmp_path):
+    def test_record_holds_what_the_key_does_not(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path, name="row")
         row = run_cell(cfg, TINY_GREEN, 2, 1)
         assert row.key() == ("fig2_bias_vs_dim", "green", 2, 5, 777, 1)
         assert row.steps == cfg.schedule.n_steps
-        (row_file,) = [f for f in os.listdir(cache_dir(cfg)) if f.endswith(".json")]
-        with open(os.path.join(cache_dir(cfg), row_file)) as fh:
-            assert json.load(fh) == {"kl": row.kl, "steps": row.steps, "wall_time_s": row.wall_time_s}
+        (npz,) = [os.path.join(cache_dir(cfg), f) for f in os.listdir(cache_dir(cfg))]
+        with np.load(npz) as data:
+            assert data["ks"].tolist()[0] == cfg.sampling.k_primary
+            assert data["kl"].tolist()[0] == row.kl
+            assert data["wall_time_s"].shape == () and float(data["wall_time_s"]) == row.wall_time_s
+            samples, ks = data["samples"], data["ks"]
+        calls = spy_searches(monkeypatch)
         assert run_cell(cfg, TINY_GREEN, 2, 1) == row  # a hit returns the stored row verbatim
+        # the stored primary estimate is served as it is, with no search
+        np.savez(npz, samples=samples, ks=ks, kl=np.array([0.25, 0.5]), wall_time_s=np.float64(1.5))
+        assert run_cell(cfg, TINY_GREEN, 2, 1) == replace(row, kl=0.25, wall_time_s=1.5)
+        assert calls == []
 
     def test_batch_kept_only_at_the_schedule_length(self, tmp_path):
-        # the robustness study reads batches of the config's own length only
+        # the robustness study reads samples of the config's own length only;
+        # a record of another length holds the primary k's estimate alone
         cfg = tiny_cfg(tmp_path, name="keep")
-        run_cell(cfg, TINY_GREEN, 1, 0, n_steps=40)
-        assert not any(f.endswith(".npz") for f in os.listdir(cache_dir(cfg)))
-        run_cell(cfg, TINY_GREEN, 1, 0, n_steps=cfg.schedule.n_steps)
-        assert sum(f.endswith(".npz") for f in os.listdir(cache_dir(cfg))) == 1
+        members = {}
+        for n_steps in (40, cfg.schedule.n_steps):
+            run_cell(cfg, TINY_GREEN, 1, 0, n_steps=n_steps)
+            with np.load(experiments._batch_path(cfg, TINY_GREEN, 1, 0, n_steps)) as data:
+                members[n_steps] = (sorted(data.files), data["ks"].tolist())
+        assert members == {
+            40: (["kl", "ks", "wall_time_s"], [5]),
+            80: (["kl", "ks", "samples", "wall_time_s"], [5, 10]),
+        }
 
     def test_row_file_of_the_older_shape_is_never_read(self, tmp_path):
-        # row files once stored the whole cell record under a digest without
-        # the row format; such a file must be a miss, not a hit or an error
+        # rows were once cached in JSON files beside the batches, first holding
+        # the whole cell record, then only kl, steps and wall_time_s; no such
+        # file is read, so neither can be a hit or an error
         cfg = tiny_cfg(tmp_path, name="old")
         fresh = run_cell(tiny_cfg(tmp_path / "fresh"), TINY_GREEN, 2, 0)
         batch = experiments._batch_digest(cfg, TINY_GREEN, 2, 0, cfg.schedule.n_steps)
-        old = hashlib.sha256(f"{batch}|k={cfg.sampling.k_primary}".encode()).hexdigest()[:20]
+        k = cfg.sampling.k_primary
         os.makedirs(cache_dir(cfg))
-        with open(os.path.join(cache_dir(cfg), old + ".json"), "w") as fh:
-            json.dump({"variant": "green", "d": 2, "repeat": 0, "n_steps": 80, "kl": 9.0,
-                       "diverged": False, "wall_time_s": 0.0}, fh)
+        for suffix, row in [
+            ("", {"variant": "green", "d": 2, "repeat": 0, "n_steps": 80, "kl": 9.0,
+                  "diverged": False, "wall_time_s": 0.0}),
+            ("|row=kl,steps,wall_time_s", {"kl": 9.0, "steps": 80, "wall_time_s": 0.0}),
+        ]:
+            old = hashlib.sha256(f"{batch}|k={k}{suffix}".encode()).hexdigest()[:20]
+            with open(os.path.join(cache_dir(cfg), old + ".json"), "w") as fh:
+                json.dump(row, fh)
         assert run_cell(cfg, TINY_GREEN, 2, 0).kl == fresh.kl
+
+    def test_diverged_cell_is_recorded_without_samples(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path, text=TINY_FIG2.replace("dt = 0.05", "dt = 1e6"), name="div")
+        rows = run_experiment(cfg)
+        assert len(rows) == 8
+        assert all(math.isnan(r.kl) and r.steps == "diverged" for r in read_csv_rows(cfg.output.csv))
+        with open(cfg.output.csv, "rb") as fh:
+            first = fh.read()
+        records = TestKnnRobustness._batches(cfg)
+        assert len(records) == 8
+        for npz in records:
+            with np.load(npz) as data:
+                assert sorted(data.files) == ["kl", "ks", "wall_time_s"]
+                assert data["ks"].shape == data["kl"].shape == (0,)
+        monkeypatch.setattr(experiments, "run_chains", no_simulation)
+        run_experiment(cfg)
+        with open(cfg.output.csv, "rb") as fh:
+            assert fh.read() == first
+        with pytest.raises(ExperimentError, match="variant 'green', d=1, repeat=0; run the sweep"):
+            run_knn_robustness(replace(cfg, experiment="knn_robustness"))
+
+    def test_cached_reruns_read_no_samples(self, tmp_path, monkeypatch):
+        # every row of a rerun, and every estimate the sweep stored, is read
+        # from the records alone
+        cfg = tiny_cfg(tmp_path, name="rerun")
+        run_experiment(cfg)
+        with open(cfg.output.csv, "rb") as fh:
+            first = fh.read()
+
+        def no_samples(*args, **kwargs):
+            raise AssertionError("samples were read")
+
+        monkeypatch.setattr(experiments, "_load_samples", no_samples)
+        run_experiment(cfg)
+        with open(cfg.output.csv, "rb") as fh:
+            assert fh.read() == first
+        assert len(run_knn_robustness(replace(cfg, experiment="knn_robustness"))) == 16
 
     def test_plot_script_lists_variants_and_runs(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="plot")
@@ -302,6 +349,23 @@ class TestSweepExperiment:
             means = [sum(by_d[d]) / len(by_d[d]) for d in ds]
             floored = [plot_template.LOG_FLOOR if m <= 0 else m for m in means]
             assert ys == pytest.approx(floored, rel=1e-12)
+
+
+def no_simulation(*args, **kwargs):
+    raise AssertionError("a cached cell was simulated again")
+
+
+def spy_searches(monkeypatch):
+    """Record the ranks of every kNN search from here on."""
+    calls = []
+    search = knn_kl_module.knn_distances
+
+    def spy(points, queries, k, exclude_self=False):
+        calls.append(tuple(k))
+        return search(points, queries, k, exclude_self=exclude_self)
+
+    monkeypatch.setattr(knn_kl_module, "knn_distances", spy)
+    return calls
 
 
 def plot_series(script):
@@ -443,29 +507,11 @@ class TestKnnRobustness:
         return sorted(os.path.join(cdir, f) for f in os.listdir(cdir) if f.endswith(".npz"))
 
     @staticmethod
-    def _drop_rows(cfg):
-        for f in os.listdir(cache_dir(cfg)):
-            if f.endswith(".json"):
-                os.remove(os.path.join(cache_dir(cfg), f))
-
-    @staticmethod
     def _rewrite(npz, **stored):
-        # the batch's samples with ``stored`` in place of its estimates
+        # the record's samples and wall time with ``stored`` in place of its estimates
         with np.load(npz) as data:
-            samples = data["samples"]
-        np.savez(npz, samples=samples, **stored)
-
-    @staticmethod
-    def _spy(monkeypatch):
-        calls = []
-        search = knn_kl_module.knn_distances
-
-        def spy(points, queries, k, exclude_self=False):
-            calls.append(tuple(k))
-            return search(points, queries, k, exclude_self=exclude_self)
-
-        monkeypatch.setattr(knn_kl_module, "knn_distances", spy)
-        return calls
+            kept = {name: data[name] for name in ("samples", "wall_time_s")}
+        np.savez(npz, **{**kept, **stored})
 
     @staticmethod
     def _estimates(rows):
@@ -477,7 +523,7 @@ class TestKnnRobustness:
         cfg = tiny_cfg(tmp_path, name="rob")
         run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
-        calls = self._spy(monkeypatch)
+        calls = spy_searches(monkeypatch)
         read = run_knn_robustness(rob_cfg)
         assert calls == []
         for npz in self._batches(cfg):
@@ -493,7 +539,7 @@ class TestKnnRobustness:
         run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
         wide = replace(rob_cfg, sampling=replace(cfg.sampling, k_values=(5, 7, 10)))
-        calls = self._spy(monkeypatch)
+        calls = spy_searches(monkeypatch)
         rows = run_knn_robustness(wide)
         assert set(calls) == {(7,)}  # only the k no batch stores
         for npz in self._batches(cfg):
@@ -502,7 +548,10 @@ class TestKnnRobustness:
         assert self._estimates(run_knn_robustness(wide)) == self._estimates(rows)
         assert set(calls) == {(5, 7, 10)}
 
-    @pytest.mark.parametrize("spoil", ["length_mismatch", "nan", "zero_k", "non_integer_k"])
+    @pytest.mark.parametrize(
+        "spoil",
+        ["length_mismatch", "nan", "zero_k", "non_integer_k", "nan_wall", "negative_wall", "wall_not_scalar"],
+    )
     def test_spoiled_estimates_are_never_served(self, tmp_path, monkeypatch, spoil):
         # every value below differs from the true estimates, so one served would show
         cfg = tiny_cfg(tmp_path, name="rob")
@@ -514,26 +563,18 @@ class TestKnnRobustness:
             "nan": dict(ks=np.array([5, 10]), kl=np.array([9.0, np.nan])),
             "zero_k": dict(ks=np.array([0, 5, 10]), kl=np.array([9.0, 9.0, 9.0])),
             "non_integer_k": dict(ks=np.array([5.5, 10.0]), kl=np.array([9.0, 9.0])),
+            "nan_wall": dict(ks=np.array([5, 10]), kl=np.array([9.0, 9.0]), wall_time_s=np.float64(np.nan)),
+            "negative_wall": dict(ks=np.array([5, 10]), kl=np.array([9.0, 9.0]), wall_time_s=np.float64(-1.0)),
+            "wall_not_scalar": dict(ks=np.array([5, 10]), kl=np.array([9.0, 9.0]), wall_time_s=np.array([0.5])),
         }[spoil]
         for npz in self._batches(cfg):
             self._rewrite(npz, **stored)
-        calls = self._spy(monkeypatch)
+        calls = spy_searches(monkeypatch)
         assert self._estimates(run_knn_robustness(rob_cfg)) == self._estimates(clean)
         assert set(calls) == {(5, 10)}
-        self._drop_rows(cfg)
-        # a sweep cell whose row misses searches the batch again too
+        # a sweep cell whose record is spoiled searches its samples again too
         fresh = {(r.variant, r.d, r.repeat): r.kl for r in clean if r.k == cfg.sampling.k_primary}
         assert {(r.variant, r.d, r.repeat): r.kl for r in run_experiment(cfg)} == fresh
-
-    def test_row_miss_reads_the_primary_estimate_from_the_batch(self, tmp_path, monkeypatch):
-        cfg = tiny_cfg(tmp_path, name="rob")
-        run_cell(cfg, TINY_GREEN, 2, 0)
-        (npz,) = self._batches(cfg)
-        self._drop_rows(cfg)
-        self._rewrite(npz, ks=np.array([5, 10]), kl=np.array([0.25, 0.5]))
-        calls = self._spy(monkeypatch)
-        assert run_cell(cfg, TINY_GREEN, 2, 0).kl == 0.25
-        assert calls == []
 
     # sha256 (first 16 hex digits) of the ``target_samples`` each batch of
     # TINY_FIG2 held when batches stored the target sample, read from batches
@@ -567,8 +608,9 @@ class TestKnnRobustness:
     @pytest.mark.parametrize("save", [np.savez, np.savez_compressed], ids=["plain", "compressed"])
     def test_batches_that_store_the_target_sample_are_served(self, tmp_path, monkeypatch, save):
         # batches once held target_samples beside samples, ks and kl, plain or
-        # compressed; such a batch is served under its name, its estimates are
-        # read, and its rows equal a fresh run's
+        # compressed, and no wall time; such a batch is no record, but its
+        # samples are served: the sweep searches them once and rewrites the
+        # file as a record, which the next pass reads without a search
         cfg = tiny_cfg(tmp_path, name="rob")
         fresh = run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
@@ -579,19 +621,21 @@ class TestKnnRobustness:
                 arrays = {name: data[name] for name in ("samples", "ks", "kl")}
             target = experiments._target_sample(cfg, variant, d, repeat, cfg.schedule.n_steps)
             save(npz, samples=arrays["samples"], target_samples=target, ks=arrays["ks"], kl=arrays["kl"])
-        self._drop_rows(cfg)
-        calls = self._spy(monkeypatch)
-
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("a cached batch was simulated again")
-
+        calls = spy_searches(monkeypatch)
+        writes = []
+        savez = np.savez
+        monkeypatch.setattr(np, "savez", lambda path, **arrays: writes.append(path) or savez(path, **arrays))
         monkeypatch.setattr(experiments, "run_chains", no_simulation)
         assert self._estimates(run_experiment(cfg)) == self._estimates(fresh)
-        assert self._estimates(run_knn_robustness(rob_cfg)) == self._estimates(fresh_rob)
-        assert calls == []
+        assert len(calls) == 2 * 8 and len(writes) == 8  # one search and one write per cell
         for npz in self._batches(cfg):
             with np.load(npz) as data:
-                assert "target_samples" in data.files  # served, not replaced
+                assert sorted(data.files) == ["kl", "ks", "samples", "wall_time_s"]
+        calls.clear()
+        writes.clear()
+        assert self._estimates(run_experiment(cfg)) == self._estimates(fresh)
+        assert self._estimates(run_knn_robustness(rob_cfg)) == self._estimates(fresh_rob)
+        assert calls == [] and writes == []
 
     def test_k_above_sample_count_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="bigk")
