@@ -31,7 +31,6 @@ from .bounds import (
     ErrorBudget,
     bcomp_bound,
     bresp_upper,
-    component_init_kl,
     error_budget,
     horizon,
     init_kl_bound,
@@ -69,7 +68,6 @@ __all__ = [
     "bcomp_bound",
     "bresp_upper",
     "build_truncated_mixture",
-    "component_init_kl",
     "condition_report",
     "error_budget",
     "horizon",

@@ -17,8 +17,8 @@ over d and K, so a whole grid of fractions is a few array operations.
 ``_GRID_ELEMS // (K * K * d)`` fractions, which caps the size of the
 temporaries. The single-fraction entry points ``bcomp_bound(inputs, kappa)``
 and ``bresp_upper(inputs, kappa)`` are the same helpers at G = 1; the
-initialization bounds ``component_init_kl`` and ``init_kl_bound`` sit at
-fraction 1. :mod:`aldlab.conditions` sums the same per-coordinate summand helpers.
+initialization bound ``init_kl_bound`` sits at fraction 1.
+:mod:`aldlab.conditions` sums the same per-coordinate summand helpers.
 """
 
 from __future__ import annotations
@@ -163,17 +163,16 @@ def _init_kl_terms(inputs: BoundInputs, v: np.ndarray, vt: np.ndarray) -> tuple[
     return inputs.dmeans**2 / vt, np.log1p(dsig / v) - dsig / vt
 
 
-def component_init_kl(inputs: BoundInputs, i: int) -> float:
-    """KL between component i's law and its perturbed counterpart at fraction 1, the initialization level."""
-    mean, var = _init_kl_terms(inputs, *inputs._annealed((1.0,)))
-    return 0.5 * float(np.sum(mean[0, i] + var[0, i]))
-
-
 def init_kl_bound(inputs: BoundInputs) -> float:
-    """Upper bound on the initialization KL: weight term + weighted Gaussian terms."""
+    """Upper bound on the initialization KL: weight term + weighted Gaussian terms.
+
+    Component i's term is the KL between its law and its perturbed
+    counterpart at fraction 1, the initialization level.
+    """
+    mean, var = _init_kl_terms(inputs, *inputs._annealed((1.0,)))
     total = weight_kl(inputs.weights, inputs.weights_tilde)
     for i in range(inputs.n_components):
-        total += float(inputs.weights[i]) * component_init_kl(inputs, i)
+        total += float(inputs.weights[i]) * (0.5 * float(np.sum(mean[0, i] + var[0, i])))
     return total
 
 

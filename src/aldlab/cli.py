@@ -9,8 +9,9 @@ Verbs::
 
 ``run --seed`` overrides the config seed; ``run --profile ci`` shrinks a run
 to desk scale; ``run --workers N`` sets the cell worker pool (one worker by
-default). ``bounds`` takes the config alone: its report is closed-form and
-draws nothing.
+default) of every sweep, step search and robustness study. ``bounds`` takes
+the config alone: its report is closed-form and draws nothing, and ``run``
+refuses a bounds config.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="override master seed")
     p_run.add_argument("--profile", choices=("full", "ci"), default="full")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=_positive_int, default=None, help="cell worker processes (at least 1)")
     p_run.add_argument("--no-cache", action="store_true", help="ignore and skip the cell cache")
     p_run.set_defaults(func=cmd_run)
 

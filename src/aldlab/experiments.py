@@ -2,16 +2,19 @@
 
 Every experiment fans out independent cells (variant, dimension, repeat),
 each seeded from the master seed and the cell key, so results never depend
-on execution order or worker count. Each cell has one cache record, an npz
+on execution order or worker count. One function, ``_cell``, decides the
+outcome of every cell, for the bias-vs-dimension sweeps, the robustness-to-k
+study and the step search alike. Each cell has one cache record, an npz
 file named by a content digest of what the cell simulates: it holds the
 cell's KL estimates (``ks``, ``kl``) and wall time and, when the cell ran
 the config's own schedule length and did not diverge, its chain samples.
-A rerun with an unchanged config serves every row from the records and
-reproduces the output byte for byte. A sweep cell searches its samples once
-at every configured k, so the robustness study reads those estimates and
-loads samples, to search them, only for the ks a record lacks. The target
-sample a search compares the chains with is redrawn from the cell seed when
-a search needs it, never stored.
+The ks a record lacks are searched in its samples and merged into it, and
+the record keeps its wall time, so every row takes its wall time from a
+record and a rerun with an unchanged config reproduces its output byte for
+byte. The robustness study is the sweep at every configured k that never
+simulates: it re-estimates cached samples only. The target sample a search
+compares the chains with is redrawn from the cell seed when a search needs
+it, never stored.
 """
 
 from __future__ import annotations
@@ -67,9 +70,8 @@ class ResultRow:
         return (self.experiment, self.variant, self.d, self.k, self.seed, self.repeat)
 
 
-def _row(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, kl, steps, wall_time_s, k=None):
-    """The row of ``cfg``'s experiment for one (variant, d, repeat), at the primary k by default."""
-    k = cfg.sampling.k_primary if k is None else k
+def _row(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, k: int, kl, steps, wall_time_s):
+    """The row of ``cfg``'s experiment for one (variant, d, repeat) at one k."""
     return ResultRow(cfg.experiment, variant.name, d, k, cfg.sampling.seed, repeat, float(kl), steps, wall_time_s)
 
 
@@ -285,118 +287,133 @@ def _search(
     return {est.k: est.value for est in knn_kl_multi(p_samples, chain_samples, ks)}
 
 
-def run_cell(
-    cfg: ExperimentConfig,
-    variant: VariantBlock,
-    d: int,
-    repeat: int,
-    n_steps=None,
-    cache: bool = True,
-) -> ResultRow:
-    """Simulate one (variant, d, repeat) cell and estimate its divergence at the primary k.
+def _cell(
+    cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, steps: int, cache: bool
+) -> tuple:
+    """One cell's estimates ``{k: kl}`` and its recorded wall time.
 
-    The cell's cache record (``_batch_path``) holds its estimates (``ks``,
-    ``kl``) and its wall time, and, when the cell ran the config's own
-    schedule length and did not diverge, its chain ``samples``, the ones the
-    robustness study re-estimates. A cell has three outcomes:
+    The one place a cell's outcome is decided. A cell at the config's
+    schedule length needs every configured k, one of any other length the
+    primary k alone. Its cache record (``_batch_path``) holds its estimates
+    (``ks``, ``kl``) and its wall time and, when the cell ran the schedule
+    length and did not diverge, its chain ``samples``.
 
-    - its record holds the primary k, or marks the cell diverged: the row
-      comes from the record, with its stored wall time, so reruns reproduce
-      output bytes;
-    - its record lacks the primary k, but the file holds usable samples:
-      they are searched and the file is rewritten;
-    - otherwise the cell is simulated, searched and written.
+    - A record that holds the ks the cell needs, or marks the cell diverged
+      (no estimates), is served as stored, so reruns reproduce output bytes.
+    - Otherwise the ks the record lacks are searched in its stored samples
+      and merged into it; the record keeps its wall time.
+    - Otherwise the cell is simulated, searched and recorded with the time
+      that took. A knn_robustness cell never simulates: with no usable
+      samples, the cache off included, it is an error naming the cell.
 
-    A search of samples kept in the record runs once at every configured k,
-    one of any other length at the primary k alone; the target sample is
-    drawn (``_target_sample``) only then, and never stored.
+    A search draws the target sample (``_target_sample``) then, and never
+    stores it.
     """
-    steps = int(n_steps if n_steps is not None else cfg.schedule.n_steps)
     path = _batch_path(cfg, variant, d, repeat, steps)
-    k_primary = cfg.sampling.k_primary
+    # k_primary is k_values[0]
+    ks = cfg.sampling.k_values if steps == cfg.schedule.n_steps else (cfg.sampling.k_primary,)
     record = _load_record(path) if cache else None
     # a record with no estimates is a diverged cell's, which a rerun would repeat
-    if record is None or (record[0] and k_primary not in record[0]):
-        t0 = time.perf_counter()
-        # simulated before (possibly under a different k): search the stored samples
-        chain_samples = _load_samples(cfg, path, d) if cache else None
-        if chain_samples is None:
-            ald = build_ald_config(cfg, variant, d, n_steps=steps)
-            # seeded by the cell's physical identity (not the experiment kind), so
-            # cached samples are interchangeable with fresh simulation everywhere
-            seed = cell_seed(cfg.sampling.seed, variant.name, d, repeat, steps)
-            try:
-                chain_samples = run_chains(ald, build_target(cfg, d), cfg.sampling.n_chains, seed).samples
-            except ChainDivergenceError:
-                pass
-        keep_samples = chain_samples is not None and steps == cfg.schedule.n_steps
-        estimates = {}
-        if chain_samples is not None:
-            # k_primary is k_values[0]
-            ks = cfg.sampling.k_values if keep_samples else (k_primary,)
-            estimates = _search(cfg, variant, d, repeat, steps, chain_samples, ks)
-        record = estimates, time.perf_counter() - t0
-        if cache:
-            arrays = dict(
-                ks=np.array(list(estimates), dtype=np.int64),
-                kl=np.array(list(estimates.values()), dtype=np.float64),
-                wall_time_s=np.float64(record[1]),
+    if record is not None and (not record[0] or set(ks) <= record[0].keys()):
+        return record
+    t0 = time.perf_counter()
+    chain_samples = _load_samples(cfg, path, d) if cache else None
+    estimates, wall_time_s = {}, None
+    if record is not None and chain_samples is not None:
+        # simulated before, under other ks: search only the ks the record lacks
+        estimates, wall_time_s = record
+    if chain_samples is None:
+        if cfg.experiment == "knn_robustness":
+            raise ExperimentError(
+                "the knn_robustness study only re-estimates cached chain batches, and found no usable "
+                f"samples for variant {variant.name!r}, d={d}, repeat={repeat}; run the sweep experiment "
+                f"first and keep the cache on (expected {path})"
             )
-            if keep_samples:
-                arrays["samples"] = chain_samples
-            # written aside and renamed, so a killed run never leaves a torn
-            # record under the name later cells load, and an unusable record
-            # there is replaced; the temporary name ends in .npz because numpy
-            # appends that suffix to any other name. Uncompressed: random
-            # doubles shrink by about 4%, not worth the deflate time.
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path[: -len(".npz")] + f".tmp{os.getpid()}.npz"
-            try:
-                np.savez(tmp, **arrays)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-    estimates, wall_time_s = record
+        ald = build_ald_config(cfg, variant, d, n_steps=steps)
+        # seeded by the cell's physical identity (not the experiment kind), so
+        # cached samples are interchangeable with fresh simulation everywhere
+        seed = cell_seed(cfg.sampling.seed, variant.name, d, repeat, steps)
+        try:
+            chain_samples = run_chains(ald, build_target(cfg, d), cfg.sampling.n_chains, seed).samples
+        except ChainDivergenceError:
+            pass
+    if chain_samples is not None:
+        missing = [k for k in ks if k not in estimates]
+        estimates.update(_search(cfg, variant, d, repeat, steps, chain_samples, missing))
+    if wall_time_s is None:
+        wall_time_s = time.perf_counter() - t0
+    if cache:
+        arrays = dict(
+            ks=np.array(list(estimates), dtype=np.int64),
+            kl=np.array(list(estimates.values()), dtype=np.float64),
+            wall_time_s=np.float64(wall_time_s),
+        )
+        if chain_samples is not None and steps == cfg.schedule.n_steps:
+            arrays["samples"] = chain_samples
+        # written aside and renamed, so a killed run never leaves a torn
+        # record under the name later cells load, and an unusable record
+        # there is replaced; the temporary name ends in .npz because numpy
+        # appends that suffix to any other name. Uncompressed: random
+        # doubles shrink by about 4%, not worth the deflate time.
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = path[: -len(".npz")] + f".tmp{os.getpid()}.npz"
+        try:
+            np.savez(tmp, **arrays)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    return estimates, wall_time_s
+
+
+def run_cell(cfg: ExperimentConfig, variant: VariantBlock, d: int, repeat: int, cache: bool = True) -> list:
+    """The rows of one (variant, d, repeat) cell at the configured schedule, whose outcome ``_cell`` decides.
+
+    The robustness study gets one row per configured k, every other
+    experiment the primary k's. Each row carries the record's wall time
+    divided by the number of rows, so a single row carries it bit for bit.
+    """
+    steps = cfg.schedule.n_steps
+    estimates, wall_time_s = _cell(cfg, variant, d, repeat, steps, cache)
+    ks = cfg.sampling.k_values if cfg.experiment == "knn_robustness" else (cfg.sampling.k_primary,)
     if not estimates:
-        return _row(cfg, variant, d, repeat, math.nan, "diverged", wall_time_s)
-    return _row(cfg, variant, d, repeat, estimates[k_primary], steps, wall_time_s)
+        estimates, steps = dict.fromkeys(ks, math.nan), "diverged"
+    return [_row(cfg, variant, d, repeat, k, estimates[k], steps, wall_time_s / len(ks)) for k in ks]
 
 
-def _cell_task(args) -> ResultRow:
-    cfg, variant, d, repeat, cache = args
-    return run_cell(cfg, variant, d, repeat, cache=cache)
+def _cell_task(args) -> list:
+    return run_cell(*args)
 
 
 def _fan_out(task, args: list, workers) -> list:
-    """``[task(a) for a in args]``, in a process pool when more than one worker is asked for.
+    """``[task(a) for a in args]``, in a pool of ``workers`` processes when more than one is asked for.
 
     The pool gets the tasks in descending d (``a[2]``), ties in the given
     order, so that the longest cells do not start last; the results come
     back in the given order.
     """
-    nworkers = max(1, int(workers or 1))
-    if nworkers > 1:
+    if (workers or 1) > 1:
         # imported here: a serial run need not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         order = sorted(range(len(args)), key=lambda i: -args[i][2])
         out = [None] * len(args)
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, row in zip(order, pool.map(task, [args[i] for i in order])):
                 out[i] = row
         return out
     return [task(a) for a in args]
 
 
-# -- sweep experiments (bias vs dimension) -----------------------------------
+# -- sweep experiments (bias vs dimension, robustness to k) --------------------
 
 
 def run_kl_sweep(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
-    """Shared driver for the bias-vs-dimension experiments.
+    """Shared driver for the sweep-shaped experiments.
 
-    Runs every (variant, d, repeat) cell at the configured schedule, one row
-    per cell with the primary k.
+    Runs every (variant, d, repeat) cell at the configured schedule: one row
+    per cell at the primary k, or, for the robustness study, one per
+    configured k (``run_cell``).
     """
     tasks = [
         (cfg, variant, d, repeat, cache)
@@ -404,109 +421,62 @@ def run_kl_sweep(cfg: ExperimentConfig, workers=None, cache: bool = True) -> lis
         for d in cfg.sweep.d_values
         for repeat in range(cfg.sampling.repeats)
     ]
-    return _fan_out(_cell_task, tasks, workers)
+    return [row for rows in _fan_out(_cell_task, tasks, workers) for row in rows]
 
 
 # -- steps-to-accuracy search -------------------------------------------------
 
 
-def _mean_kl_at(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_steps: int, cache: bool) -> float:
-    vals = []
-    for repeat in range(cfg.sampling.repeats):
-        row = run_cell(cfg, variant, d, repeat, n_steps=n_steps, cache=cache)
-        vals.append(math.inf if row.steps == "diverged" else row.kl)
-    return float(np.mean(vals))
-
-
 def steps_to_accuracy(
     cfg: ExperimentConfig, variant: VariantBlock, d: int, cache: bool = True
-) -> tuple:
+) -> ResultRow:
     """Minimal schedule length whose mean divergence reaches the target accuracy.
 
     Walks the geometric grid upward until the accuracy is met, then bisects
     between the bracketing grid points (to within 5% or one step). Returns
-    ``(steps, mean_kl)`` where steps is an int, or "cap_exceeded" when even
-    the largest grid point misses the accuracy.
+    the search's row, as repeat 0: its steps are an int, or "cap_exceeded"
+    when even the largest grid point misses the accuracy; its kl is the mean
+    over repeats at those steps (at the largest grid point when capped); its
+    wall time is the sum of the recorded wall times of the cells it ran.
     """
     eps = cfg.sweep.epsilon
-    grid = sorted(set(cfg.sweep.step_grid))
-    lo = None  # largest failing N
-    hi = None  # smallest passing N
-    hi_kl = math.nan
-    last_kl = math.nan
-    for n in grid:
-        kl = _mean_kl_at(cfg, variant, d, n, cache)
-        last_kl = kl
-        if kl <= eps:
-            hi, hi_kl = n, kl
-            break
-        lo = n
+    k = cfg.sampling.k_primary
+    grid = iter(sorted(set(cfg.sweep.step_grid)))
+    lo = hi = None  # largest failing N, smallest passing N
+    mean_kl = {}
+    wall_time_s = 0.0
+    n = next(grid)
+    while n is not None:
+        kls = []
+        for repeat in range(cfg.sampling.repeats):
+            estimates, cell_time = _cell(cfg, variant, d, repeat, n, cache)
+            wall_time_s += cell_time
+            # a diverged cell has no estimates
+            kls.append(estimates.get(k, math.inf))
+        mean_kl[n] = float(np.mean(kls))
+        if mean_kl[n] <= eps:
+            hi = n
+        else:
+            lo = n
+        if hi is None:
+            n = next(grid, None)
+        elif lo is not None and hi - lo > max(1, int(0.05 * hi)):
+            n = (lo + hi) // 2
+        else:
+            n = None
     if hi is None:
-        return "cap_exceeded", last_kl
-    if lo is not None:
-        while hi - lo > max(1, int(0.05 * hi)):
-            mid = (lo + hi) // 2
-            kl = _mean_kl_at(cfg, variant, d, mid, cache)
-            if kl <= eps:
-                hi, hi_kl = mid, kl
-            else:
-                lo = mid
-    return hi, hi_kl
+        return _row(cfg, variant, d, 0, k, mean_kl[lo], "cap_exceeded", wall_time_s)
+    return _row(cfg, variant, d, 0, k, mean_kl[hi], hi, wall_time_s)
 
 
 def _steps_task(args) -> ResultRow:
-    cfg, variant, d, cache = args
-    t0 = time.perf_counter()
-    steps, kl = steps_to_accuracy(cfg, variant, d, cache=cache)
-    return _row(cfg, variant, d, 0, kl, steps, time.perf_counter() - t0)
+    return steps_to_accuracy(*args)
 
 
 def run_fig1_steps_to_accuracy(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
     """One row per (variant, d): the step search's count and mean KL, as repeat 0."""
     tasks = [(cfg, variant, d, cache) for variant in cfg.variants for d in cfg.sweep.d_values]
     return _fan_out(_steps_task, tasks, workers)
-
-
-# -- robustness to k ----------------------------------------------------------
-
-
-def run_knn_robustness(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
-    """Estimate cached sweep cells at every configured k, without re-simulating.
-
-    A cell's estimates are read from its record (``_load_record``); its
-    samples are loaded only for the ks the record lacks, and searched at
-    those ks alone, in one search against the cell's redrawn target sample.
-    A cell with no usable samples to search, diverged or never run, is an
-    error naming it. A row's ``wall_time_s`` is its equal share of the time
-    spent estimating the cell, so it is near zero when every k was read.
-    """
-    if not cache:
-        raise ExperimentError(
-            "the knn_robustness study only re-estimates cached chain batches; it cannot run without the cache"
-        )
-    ks = cfg.sampling.k_values
-    steps = cfg.schedule.n_steps
-    rows = []
-    for variant in cfg.variants:
-        for d in cfg.sweep.d_values:
-            for repeat in range(cfg.sampling.repeats):
-                t0 = time.perf_counter()
-                path = _batch_path(cfg, variant, d, repeat, steps)
-                record = _load_record(path)
-                known = record[0] if record is not None else {}
-                missing = [k for k in ks if k not in known]
-                if missing:
-                    chain_samples = _load_samples(cfg, path, d)
-                    if chain_samples is None:
-                        raise ExperimentError(
-                            f"no usable cached samples for variant {variant.name!r}, d={d}, "
-                            f"repeat={repeat}; run the sweep experiment first (expected {path}; "
-                            "a diverged cell keeps none)"
-                        )
-                    known.update(_search(cfg, variant, d, repeat, steps, chain_samples, missing))
-                share = (time.perf_counter() - t0) / len(ks)
-                rows.extend(_row(cfg, variant, d, repeat, known[k], steps, share, k=k) for k in ks)
-    return rows
 
 
 # -- bounds report -------------------------------------------------------------
@@ -656,17 +626,15 @@ RUNNERS = {
     "fig1_steps_to_accuracy": run_fig1_steps_to_accuracy,
     "fig2_bias_vs_dim": run_kl_sweep,
     "fig3_score_error": run_kl_sweep,
-    "knn_robustness": run_knn_robustness,
+    "knn_robustness": run_kl_sweep,
 }
 
 
 def run_experiment(cfg: ExperimentConfig, workers=None, cache: bool = True) -> list:
     """Run an experiment end to end: cells, CSV, and plot script."""
     if cfg.experiment == "bounds_report":
-        run_bounds_report(cfg)
-        return []
-    runner = RUNNERS[cfg.experiment]
-    rows = runner(cfg, workers=workers, cache=cache)
+        raise ExperimentError("a bounds_report config is closed-form: run it with `aldlab bounds`")
+    rows = RUNNERS[cfg.experiment](cfg, workers=workers, cache=cache)
     emit_csv(rows, cfg.output.csv)
     if cfg.output.plot_script:
         emit_plot_script(cfg.output.plot_script, cfg.output.csv)

@@ -17,7 +17,7 @@ import pytest
 
 import aldlab as al
 from aldlab.config import apply_ci_profile, load_config
-from aldlab.experiments import run_experiment, run_knn_robustness
+from aldlab.experiments import run_experiment, run_kl_sweep
 from conftest import random_mixture
 
 RESULTS = []
@@ -360,7 +360,7 @@ def test_c09_knn_robustness(fig2_ci):
     rob = replace(cfg, experiment="knn_robustness",
                   sweep=replace(cfg.sweep, d_values=(top,)),
                   sampling=replace(cfg.sampling, k_values=(20, 50, 80)))
-    rows = run_knn_robustness(rob)
+    rows = run_kl_sweep(rob)
     greens = {k: np.mean([r.kl for r in rows if r.variant == "green" and r.k == k])
               for k in (20, 50, 80)}
     reds = {k: np.mean([r.kl for r in rows if r.variant == "red" and r.k == k])

@@ -10,7 +10,6 @@ from aldlab import (
     BoundsError,
     bcomp_bound,
     bresp_upper,
-    component_init_kl,
     error_budget,
     horizon,
     init_kl_bound,
@@ -140,17 +139,19 @@ class TestWeightKl:
 
 
 class TestComponentInitKl:
+    # a component's term of init_kl_bound, read on one component of weight 1
+    # and unperturbed weights, where the bound is that term alone
     def test_zero_perturbation(self):
-        assert component_init_kl(simple_inputs(), 0) == 0.0
+        assert init_kl_bound(simple_inputs()) == 0.0
 
     def test_mean_shift(self):
         inp = simple_inputs(dmeans=[[2.0]])
-        assert component_init_kl(inp, 0) == pytest.approx(1.0)
+        assert init_kl_bound(inp) == pytest.approx(1.0)
 
     def test_variance_doubling_vs_quadrature(self):
         # KL(N(0,1) || N(0,2)) by direct numerical integration
         inp = simple_inputs(lambdas=[1e-300], dsigma=[[1.0]])
-        got = component_init_kl(inp, 0)
+        got = init_kl_bound(inp)
         assert got == pytest.approx(0.5 * (math.log(2.0) - 0.5), rel=1e-10)
         assert got == pytest.approx(0.096574, abs=5e-7)
         xs = np.linspace(-12, 12, 20001)
@@ -166,7 +167,7 @@ class TestComponentInitKl:
     def test_evaluated_at_full_smoothing_fraction(self):
         # KL(N(0, 1.5 + 2) || N(0, 1.5 + 0.5 + 2)): the smoothing enters at fraction 1
         inp = simple_inputs(sigma=[[1.5]], dsigma=[[0.5]], lambdas=[2.0])
-        assert component_init_kl(inp, 0) == pytest.approx(0.5 * (math.log(4.0 / 3.5) - 0.5 / 4.0))
+        assert init_kl_bound(inp) == pytest.approx(0.5 * (math.log(4.0 / 3.5) - 0.5 / 4.0))
 
 
 class TestInitKlBound:
@@ -186,10 +187,6 @@ class TestInitKlBound:
         )
         assert init_kl_bound(inp) == pytest.approx(weight_kl([0.75, 0.25], [0.1, 0.9]))
         assert init_kl_bound(inp) == pytest.approx(1.190943, abs=1e-6)
-
-    def test_singleton_reduces_to_component_term(self):
-        inp = simple_inputs(dmeans=[[2.0]])
-        assert init_kl_bound(inp) == pytest.approx(component_init_kl(inp, 0))
 
 
 class TestBcompBound:
@@ -639,7 +636,11 @@ class TestSingleGaussianBudget:
         budget = error_budget(inp, 3.0, grid_size=64)
         for line in (budget.e_init, budget.e_score_comp, budget.e_score_resp_envelope, budget.e_bias):
             assert math.isfinite(line) and line > 0.0
-        assert budget.e_init == pytest.approx(component_init_kl(inp, 0))
+        # one component of weight 1: e_init is its KL at fraction 1 alone
+        v = inp.sigma + inp.lambdas
+        vt = v + inp.dsigma
+        kl = 0.5 * np.sum(inp.dmeans**2 / vt + np.log(vt / v) - inp.dsigma / vt)
+        assert budget.e_init == pytest.approx(kl)
         # one component: every responsibility is 1 under both laws, so the
         # mismatch is exactly 0 under any perturbation; the envelope stays reported
         assert budget.e_score_resp == 0.0

@@ -28,6 +28,15 @@ def test_schedule_rows_below_one_rejected(capsys, rows):
     assert f"argument --rows: must be at least 1, got {rows}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_workers_below_one_rejected(capsys, workers):
+    # refused while parsing, before the config is read or any process starts
+    with pytest.raises(SystemExit) as err:
+        main(["run", "no_such.cfg", "--workers", workers])
+    assert err.value.code == 2
+    assert f"argument --workers: must be at least 1, got {workers}" in capsys.readouterr().err
+
+
 def test_kl_verb(tmp_path, capsys):
     rng = np.random.default_rng(3)
     p = rng.normal(size=(400, 2))

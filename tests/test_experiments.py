@@ -7,6 +7,7 @@ import json
 import math
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,7 +28,7 @@ from aldlab.experiments import (
     run_bounds_report,
     run_cell,
     run_experiment,
-    run_knn_robustness,
+    run_kl_sweep,
     steps_to_accuracy,
 )
 from conftest import variant_named
@@ -194,7 +195,7 @@ class TestSweepExperiment:
             run_cell(cfg, green, 2, 0)
         monkeypatch.undo()
         assert os.listdir(cache_dir(cfg)) == []
-        again = run_cell(cfg, green, 2, 0)
+        (again,) = run_cell(cfg, green, 2, 0)
         assert math.isfinite(again.kl)
         assert sum(f.endswith(".npz") for f in os.listdir(cache_dir(cfg))) == 1
 
@@ -202,20 +203,20 @@ class TestSweepExperiment:
         # batches were once written compressed; such a batch still loads
         # as it is and spares the simulation
         cfg = tiny_cfg(tmp_path)
-        first = run_cell(cfg, TINY_GREEN, 2, 0)
+        (first,) = run_cell(cfg, TINY_GREEN, 2, 0)
         cdir = cache_dir(cfg)
         (npz,) = [os.path.join(cdir, f) for f in os.listdir(cdir) if f.endswith(".npz")]
         with np.load(npz) as data:
             samples = data["samples"]
         np.savez_compressed(npz, samples=samples)
         monkeypatch.setattr(experiments, "run_chains", no_simulation)
-        assert run_cell(cfg, TINY_GREEN, 2, 0).kl == first.kl
+        assert run_cell(cfg, TINY_GREEN, 2, 0)[0].kl == first.kl
 
     @pytest.mark.parametrize("spoil", ["torn", "wrong_shape", "non_finite"])
     def test_unusable_batch_is_resimulated_and_replaced(self, tmp_path, spoil):
         # a batch that cannot be served is a cache miss: the cell re-simulates
         # the same bits and the spoiled file is replaced by a usable one
-        clean = run_cell(tiny_cfg(tmp_path / "clean"), TINY_GREEN, 2, 0)
+        (clean,) = run_cell(tiny_cfg(tmp_path / "clean"), TINY_GREEN, 2, 0)
         cfg = tiny_cfg(tmp_path / "spoiled")
         run_cell(cfg, TINY_GREEN, 2, 0)
         cdir = cache_dir(cfg)
@@ -233,7 +234,7 @@ class TestSweepExperiment:
             bad = good.copy()
             bad[0, 0] = np.nan
             np.savez_compressed(npz, samples=bad)
-        again = run_cell(cfg, TINY_GREEN, 2, 0)
+        (again,) = run_cell(cfg, TINY_GREEN, 2, 0)
         assert again.kl == clean.kl
         with np.load(npz) as data:
             np.testing.assert_array_equal(data["samples"], good)
@@ -248,7 +249,7 @@ class TestSweepExperiment:
 
     def test_record_holds_what_the_key_does_not(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path, name="row")
-        row = run_cell(cfg, TINY_GREEN, 2, 1)
+        (row,) = run_cell(cfg, TINY_GREEN, 2, 1)
         assert row.key() == ("fig2_bias_vs_dim", "green", 2, 5, 777, 1)
         assert row.steps == cfg.schedule.n_steps
         (npz,) = [os.path.join(cache_dir(cfg), f) for f in os.listdir(cache_dir(cfg))]
@@ -258,10 +259,10 @@ class TestSweepExperiment:
             assert data["wall_time_s"].shape == () and float(data["wall_time_s"]) == row.wall_time_s
             samples, ks = data["samples"], data["ks"]
         calls = spy_searches(monkeypatch)
-        assert run_cell(cfg, TINY_GREEN, 2, 1) == row  # a hit returns the stored row verbatim
+        assert run_cell(cfg, TINY_GREEN, 2, 1) == [row]  # a hit returns the stored row verbatim
         # the stored primary estimate is served as it is, with no search
         np.savez(npz, samples=samples, ks=ks, kl=np.array([0.25, 0.5]), wall_time_s=np.float64(1.5))
-        assert run_cell(cfg, TINY_GREEN, 2, 1) == replace(row, kl=0.25, wall_time_s=1.5)
+        assert run_cell(cfg, TINY_GREEN, 2, 1) == [replace(row, kl=0.25, wall_time_s=1.5)]
         assert calls == []
 
     def test_batch_kept_only_at_the_schedule_length(self, tmp_path):
@@ -270,7 +271,7 @@ class TestSweepExperiment:
         cfg = tiny_cfg(tmp_path, name="keep")
         members = {}
         for n_steps in (40, cfg.schedule.n_steps):
-            run_cell(cfg, TINY_GREEN, 1, 0, n_steps=n_steps)
+            experiments._cell(cfg, TINY_GREEN, 1, 0, n_steps, cache=True)
             with np.load(experiments._batch_path(cfg, TINY_GREEN, 1, 0, n_steps)) as data:
                 members[n_steps] = (sorted(data.files), data["ks"].tolist())
         assert members == {
@@ -283,7 +284,7 @@ class TestSweepExperiment:
         # the whole cell record, then only kl, steps and wall_time_s; no such
         # file is read, so neither can be a hit or an error
         cfg = tiny_cfg(tmp_path, name="old")
-        fresh = run_cell(tiny_cfg(tmp_path / "fresh"), TINY_GREEN, 2, 0)
+        (fresh,) = run_cell(tiny_cfg(tmp_path / "fresh"), TINY_GREEN, 2, 0)
         batch = experiments._batch_digest(cfg, TINY_GREEN, 2, 0, cfg.schedule.n_steps)
         k = cfg.sampling.k_primary
         os.makedirs(cache_dir(cfg))
@@ -295,7 +296,7 @@ class TestSweepExperiment:
             old = hashlib.sha256(f"{batch}|k={k}{suffix}".encode()).hexdigest()[:20]
             with open(os.path.join(cache_dir(cfg), old + ".json"), "w") as fh:
                 json.dump(row, fh)
-        assert run_cell(cfg, TINY_GREEN, 2, 0).kl == fresh.kl
+        assert run_cell(cfg, TINY_GREEN, 2, 0)[0].kl == fresh.kl
 
     def test_diverged_cell_is_recorded_without_samples(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path, text=TINY_FIG2.replace("dt = 0.05", "dt = 1e6"), name="div")
@@ -314,8 +315,8 @@ class TestSweepExperiment:
         run_experiment(cfg)
         with open(cfg.output.csv, "rb") as fh:
             assert fh.read() == first
-        with pytest.raises(ExperimentError, match="variant 'green', d=1, repeat=0; run the sweep"):
-            run_knn_robustness(replace(cfg, experiment="knn_robustness"))
+        rob = run_kl_sweep(replace(cfg, experiment="knn_robustness"))
+        assert len(rob) == 16 and all(math.isnan(r.kl) and r.steps == "diverged" for r in rob)
 
     def test_cached_reruns_read_no_samples(self, tmp_path, monkeypatch):
         # every row of a rerun, and every estimate the sweep stored, is read
@@ -332,7 +333,7 @@ class TestSweepExperiment:
         run_experiment(cfg)
         with open(cfg.output.csv, "rb") as fh:
             assert fh.read() == first
-        assert len(run_knn_robustness(replace(cfg, experiment="knn_robustness"))) == 16
+        assert len(run_kl_sweep(replace(cfg, experiment="knn_robustness"))) == 16
 
     def test_plot_script_lists_variants_and_runs(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="plot")
@@ -454,7 +455,7 @@ class TestKnnRobustness:
         cfg = tiny_cfg(tmp_path, name="rob")
         run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
-        rows = run_knn_robustness(rob_cfg)
+        rows = run_kl_sweep(rob_cfg)
         # 2 variants x 2 d x 2 repeats x 2 k
         assert len(rows) == 16
         ks = {r.k for r in rows}
@@ -462,7 +463,7 @@ class TestKnnRobustness:
         keyed = {(r.variant, r.d, r.repeat, r.k) for r in rows}
         assert len(keyed) == 16
 
-    def test_torn_batch_names_the_cell(self, tmp_path):
+    def test_torn_batch_names_the_cell(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path, name="rob")
         run_experiment(cfg)
         cdir = cache_dir(cfg)
@@ -471,8 +472,9 @@ class TestKnnRobustness:
                 with open(os.path.join(cdir, f), "wb") as fh:
                     fh.write(b"PK\x03\x04 partial")
         rob_cfg = replace(cfg, experiment="knn_robustness")
+        monkeypatch.setattr(experiments, "run_chains", no_simulation)
         with pytest.raises(ExperimentError, match="variant 'green', d=1, repeat=0; run the sweep"):
-            run_knn_robustness(rob_cfg)
+            run_kl_sweep(rob_cfg)
 
     @pytest.mark.parametrize("owner, name", [(experiments, "NUMERICS_VERSION"), (engine, "BLOCK_SIZE")])
     def test_other_numerics_miss_the_cache(self, tmp_path, monkeypatch, owner, name):
@@ -481,25 +483,31 @@ class TestKnnRobustness:
         cfg = tiny_cfg(tmp_path, name="rob")
         run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
-        assert len(run_knn_robustness(rob_cfg)) == 16
+        assert len(run_kl_sweep(rob_cfg)) == 16
         monkeypatch.setattr(owner, name, getattr(owner, name) + 1)
+        monkeypatch.setattr(experiments, "run_chains", no_simulation)
         with pytest.raises(ExperimentError, match="variant 'green', d=1, repeat=0; run the sweep"):
-            run_knn_robustness(rob_cfg)
+            run_kl_sweep(rob_cfg)
 
-    def test_refuses_to_run_without_the_cache(self, tmp_path):
+    def test_refuses_to_run_without_the_cache(self, tmp_path, monkeypatch):
         # the study has nothing to simulate: with the cache off it would still
         # have read it, so it refuses instead
         cfg = tiny_cfg(tmp_path, name="rob")
         run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
-        with pytest.raises(ExperimentError, match="only re-estimates cached chain batches"):
+        monkeypatch.setattr(experiments, "run_chains", no_simulation)
+        with pytest.raises(
+            ExperimentError,
+            match="only re-estimates cached chain batches.*variant 'green', d=1, repeat=0; run the sweep",
+        ):
             run_experiment(rob_cfg, cache=False)
 
-    def test_missing_cache_instructs_rerun(self, tmp_path):
+    def test_missing_cache_instructs_rerun(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path, name="nocache")
         rob_cfg = replace(cfg, experiment="knn_robustness")
+        monkeypatch.setattr(experiments, "run_chains", no_simulation)
         with pytest.raises(ExperimentError, match="run the sweep"):
-            run_knn_robustness(rob_cfg)
+            run_kl_sweep(rob_cfg)
 
     @staticmethod
     def _batches(cfg):
@@ -524,13 +532,13 @@ class TestKnnRobustness:
         run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
         calls = spy_searches(monkeypatch)
-        read = run_knn_robustness(rob_cfg)
+        read = run_kl_sweep(rob_cfg)
         assert calls == []
         for npz in self._batches(cfg):
             with np.load(npz) as data:
                 np.testing.assert_array_equal(data["ks"], [5, 10])
             self._rewrite(npz)
-        searched = run_knn_robustness(rob_cfg)
+        searched = run_kl_sweep(rob_cfg)
         assert len(calls) == 2 * 8  # the rho and nu searches of every batch
         assert self._estimates(read) == self._estimates(searched)
 
@@ -540,13 +548,36 @@ class TestKnnRobustness:
         rob_cfg = replace(cfg, experiment="knn_robustness")
         wide = replace(rob_cfg, sampling=replace(cfg.sampling, k_values=(5, 7, 10)))
         calls = spy_searches(monkeypatch)
-        rows = run_knn_robustness(wide)
+        rows = run_kl_sweep(wide)
         assert set(calls) == {(7,)}  # only the k no batch stores
+        # the searched k was merged into each record, which kept its wall time
+        calls.clear()
+        assert run_kl_sweep(wide) == rows
+        assert calls == []
         for npz in self._batches(cfg):
             self._rewrite(npz)
         calls.clear()
-        assert self._estimates(run_knn_robustness(wide)) == self._estimates(rows)
+        assert self._estimates(run_kl_sweep(wide)) == self._estimates(rows)
         assert set(calls) == {(5, 7, 10)}
+
+    def test_pool_matches_serial_byte_for_byte(self, tmp_path):
+        # the study fans its cells out like the sweep; on copies of one cache
+        # it writes the same bytes with one worker and with two, the k the
+        # records lack searched and merged either way
+        cfg = tiny_cfg(tmp_path / "serial", name="fig2")
+        run_experiment(cfg)
+        shutil.copytree(cache_dir(cfg), tmp_path / "pool" / "chain_cache")
+        out = {}
+        for workers, where in ((1, "serial"), (2, "pool")):
+            rob_cfg = tiny_cfg(tmp_path / where, name="rob")
+            rob_cfg = replace(
+                rob_cfg, experiment="knn_robustness", sampling=replace(cfg.sampling, k_values=(5, 7, 10))
+            )
+            run_experiment(rob_cfg, workers=workers)
+            with open(rob_cfg.output.csv, "rb") as fh:
+                out[workers] = fh.read()
+        assert out[1] == out[2]
+        assert out[1].count(b"\n") == 1 + 8 * 3
 
     @pytest.mark.parametrize(
         "spoil",
@@ -557,7 +588,7 @@ class TestKnnRobustness:
         cfg = tiny_cfg(tmp_path, name="rob")
         run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
-        clean = run_knn_robustness(rob_cfg)
+        clean = run_kl_sweep(rob_cfg)
         stored = {
             "length_mismatch": dict(ks=np.array([5, 10]), kl=np.array([9.0, 9.0, 9.0])),
             "nan": dict(ks=np.array([5, 10]), kl=np.array([9.0, np.nan])),
@@ -570,7 +601,7 @@ class TestKnnRobustness:
         for npz in self._batches(cfg):
             self._rewrite(npz, **stored)
         calls = spy_searches(monkeypatch)
-        assert self._estimates(run_knn_robustness(rob_cfg)) == self._estimates(clean)
+        assert self._estimates(run_kl_sweep(rob_cfg)) == self._estimates(clean)
         assert set(calls) == {(5, 10)}
         # a sweep cell whose record is spoiled searches its samples again too
         fresh = {(r.variant, r.d, r.repeat): r.kl for r in clean if r.k == cfg.sampling.k_primary}
@@ -614,7 +645,7 @@ class TestKnnRobustness:
         cfg = tiny_cfg(tmp_path, name="rob")
         fresh = run_experiment(cfg)
         rob_cfg = replace(cfg, experiment="knn_robustness")
-        fresh_rob = run_knn_robustness(rob_cfg)
+        fresh_rob = run_kl_sweep(rob_cfg)
         for variant, d, repeat in self._cells(cfg):
             npz = experiments._batch_path(cfg, variant, d, repeat, cfg.schedule.n_steps)
             with np.load(npz) as data:
@@ -634,7 +665,7 @@ class TestKnnRobustness:
         calls.clear()
         writes.clear()
         assert self._estimates(run_experiment(cfg)) == self._estimates(fresh)
-        assert self._estimates(run_knn_robustness(rob_cfg)) == self._estimates(fresh_rob)
+        assert self._estimates(run_kl_sweep(rob_cfg)) == self._estimates(fresh_rob)
         assert calls == [] and writes == []
 
     def test_k_above_sample_count_rejected(self, tmp_path):
@@ -645,7 +676,7 @@ class TestKnnRobustness:
         bad = replace(cfg, experiment="knn_robustness",
                       sampling=replace(cfg.sampling, k_values=(120,)))
         with pytest.raises(KnnError):
-            run_knn_robustness(bad)
+            run_kl_sweep(bad)
 
 
 TINY_FIG1 = """
@@ -700,13 +731,42 @@ class TestStepsToAccuracy:
 
     def test_bisection_refines_bracket(self, tmp_path):
         cfg = tiny_cfg(tmp_path, text=TINY_FIG1, name="bisect")
-        steps, kl = steps_to_accuracy(cfg, cfg.variants[0], 1)
+        row = steps_to_accuracy(cfg, cfg.variants[0], 1)
         # refined value is at most a grid point and at least the grid predecessor
-        assert 25 <= steps <= 400
-        assert kl <= cfg.sweep.epsilon
+        assert 25 <= row.steps <= 400
+        assert row.kl <= cfg.sweep.epsilon
+
+
+def test_cached_reruns_are_byte_equal(tmp_path):
+    # every experiment kind's rows take their wall time from the cell records,
+    # so a second run into the same cache writes the same bytes
+    fig2 = tiny_cfg(tmp_path / "fig2", name="fig2")
+    fig3_text = TINY_FIG2.replace("fig2_bias_vs_dim", "fig3_score_error")
+    cfgs = [
+        tiny_cfg(tmp_path / "fig1", text=TINY_FIG1, name="fig1"),
+        fig2,
+        tiny_cfg(tmp_path / "fig3", text=fig3_text, name="fig3"),
+        replace(tiny_cfg(tmp_path / "fig2", name="rob"), experiment="knn_robustness",
+                sampling=replace(fig2.sampling, k_values=(5, 7, 10))),
+    ]
+    for cfg in cfgs:
+        runs = []
+        for _ in range(2):
+            run_experiment(cfg)
+            with open(cfg.output.csv, "rb") as fh:
+                runs.append(fh.read())
+        assert runs[0] == runs[1], cfg.experiment
 
 
 class TestBoundsReport:
+    def test_run_refuses_a_bounds_config(self, tmp_path):
+        # the report has one entry point, `aldlab bounds`, which takes no seed or profile
+        cfg = load_config("configs/bounds.cfg")
+        cfg = replace(cfg, output=replace(cfg.output, csv=str(tmp_path / "bounds.csv")))
+        with pytest.raises(ExperimentError, match="run it with `aldlab bounds`"):
+            run_experiment(cfg)
+        assert os.listdir(tmp_path) == []
+
     def test_report_files_and_verdicts(self, tmp_path):
         cfg = load_config("configs/bounds.cfg")
         cfg = replace(
