@@ -188,6 +188,14 @@ class TestInitKlBound:
         assert init_kl_bound(inp) == pytest.approx(weight_kl([0.75, 0.25], [0.1, 0.9]))
         assert init_kl_bound(inp) == pytest.approx(1.190943, abs=1e-6)
 
+    def test_singleton_reduces_to_component_term(self):
+        # one component of weight 1: the bound is that component's KL at fraction 1
+        inp = simple_inputs(dmeans=[[2.0]])
+        v = inp.sigma + inp.lambdas
+        vt = v + inp.dsigma
+        kl = 0.5 * np.sum(inp.dmeans**2 / vt + np.log(vt / v) - inp.dsigma / vt)
+        assert init_kl_bound(inp) == pytest.approx(kl)
+
 
 class TestBcompBound:
     def test_zero_perturbation(self):
