@@ -23,7 +23,7 @@ initialization bound ``init_kl_bound`` sits at fraction 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,6 +103,11 @@ class BoundInputs:
     @property
     def dim(self) -> int:
         return self.sigma.shape[1]
+
+    def columns(self, cols: slice) -> "BoundInputs":
+        """These inputs on the coordinates ``cols`` alone; at ``slice(0, d)``, the truncation at d."""
+        rows = {name: getattr(self, name)[:, cols] for name in ("sigma", "dsigma", "dmeans", "means")}
+        return replace(self, lambdas=self.lambdas[cols], gammas=self.gammas[cols], **rows)
 
     def _annealed(self, kappas) -> tuple[np.ndarray, np.ndarray]:
         """Annealed variances ``(v, v_tilde)`` at each fraction in ``kappas``, shape (G, K, d).

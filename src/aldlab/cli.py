@@ -22,10 +22,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import apply_ci_profile, load_config
-from .engine import make_schedule
-from .experiments import run_bounds_report, run_experiment
-from .knn_kl import knn_kl
+from .bounds import BoundsError
+from .conditions import ConditionError
+from .config import ConfigError, apply_ci_profile, load_config
+from .engine import EngineError, make_schedule
+from .experiments import ExperimentError, run_bounds_report, run_experiment
+from .knn_kl import KnnError, knn_kl
+from .mixture import MixtureError
+from .spectra import SpectrumError
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -124,8 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb; a lab error or an unreadable file is one ``aldlab: <message>`` line on stderr and status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (
+        ConfigError, ExperimentError, EngineError, KnnError, MixtureError, BoundsError, ConditionError,
+        SpectrumError, OSError,
+    ) as err:
+        print(f"aldlab: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ mismatch factor and score second-moment summands (``w1_weights``,
 keeps the worst component and power, and the worse of the fractions 0 and 1
 where it reads both. Band records keep the running sup of ``|vt/v - 1|`` at
 fraction 0. The ``init_*`` records describe an initial law that carries the
-score perturbation, not a weights-only one. The mixture and its score
-perturbation are built as the experiments build them
-(``build_truncated_mixture``, ``MixturePerturbation``), so the records and
-the budget read the same arrays.
+score perturbation, not a weights-only one. One function, ``family_inputs``,
+turns the laws of a mixture and its score perturbation into the
+``BoundInputs`` that both read: the records sum its per-coordinate terms,
+and the bounds report's budget at d reads its first d coordinates.
 
 Verdicts come from exponent algebra: a term that decays like ``j**(-e)``, up
 to a log factor, has a finite sum iff ``e > 1``. A zero-scale sequence is
@@ -25,7 +25,7 @@ diverges whatever its decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,6 +107,52 @@ def _slab_terms(inputs: BoundInputs) -> dict:
     }
 
 
+def family_inputs(
+    weights,
+    d: int,
+    *,
+    sigma_exponent: float,
+    sigma_scales=None,
+    smooth: PowerLaw,
+    gamma: PowerLaw,
+    dmean: PowerLaw = PowerLaw(0.0),
+    dsigma: PowerLaw = PowerLaw(0.0),
+    weights_tilde=None,
+    mean_offsets=(),
+) -> BoundInputs:
+    """The bound inputs of the lab's mixture family on coordinates 1..d.
+
+    The mixture is ``mixture.build_truncated_mixture``'s: component i has
+    variances ``sigma_scales[i] * j**(-sigma_exponent)`` (scales default to
+    1) and mean ``mean_offsets[i]`` on coordinate 1 (empty puts every mean
+    at the origin). Its score model is a ``MixturePerturbation`` with
+    ``dmean`` and ``dsigma``, which every component shares, and the weights
+    ``weights_tilde`` (default: the mixture's). ``smooth`` must be the
+    *effective* smoothing spectrum (initial level times the base spectrum).
+    Every array is elementwise in j, so ``columns(slice(0, d))`` of a build
+    at a larger dimension is the build at d, bit for bit.
+    """
+    k = np.size(weights)
+    offsets = mean_offsets if len(mean_offsets) else np.zeros(k)
+    try:
+        target = build_truncated_mixture(
+            weights, offsets, PowerLaw(1.0, sigma_exponent), d, var_scales=sigma_scales
+        )
+        pert = MixturePerturbation(dmean=dmean, dvar=dsigma)
+        return BoundInputs(
+            weights=target.weights,
+            weights_tilde=target.weights if weights_tilde is None else weights_tilde,
+            sigma=target.variances,
+            dsigma=pert.var_shifts(k, d),
+            dmeans=pert.mean_shifts(k, d),
+            lambdas=smooth.eigenvalues(d),
+            gammas=gamma.eigenvalues(d),
+            means=target.means,
+        )
+    except (MixtureError, BoundsError) as err:
+        raise ConditionError(str(err)) from err
+
+
 def condition_report(
     weights,
     *,
@@ -122,48 +168,24 @@ def condition_report(
 ) -> ConditionReport:
     """Evaluate every summability condition for power-law spectra.
 
-    The mixture is the lab's family (``mixture.build_truncated_mixture``) at
-    the largest probe dimension: component i has variances
-    ``sigma_scales[i] * j**(-sigma_exponent)`` (scales default to 1) and
-    mean ``mean_offsets[i]`` on coordinate 1 (empty puts every mean at the
-    origin). Its score model
-    is a ``MixturePerturbation`` with ``dmean`` and ``dsigma``, which every
-    component shares, and the weights ``weights_tilde``. ``smooth`` must be
-    the *effective* smoothing spectrum (initial level times the base
-    spectrum). The terms are evaluated in slabs of coordinates, which bounds
+    The laws are ``family_inputs``'s, built once at the largest probe
+    dimension. The terms are evaluated in slabs of coordinates, which bounds
     the memory.
     """
     d_probe = tuple(int(d) for d in d_probe)
     if not d_probe or any(d < 1 for d in d_probe):
         raise ConditionError("d_probe must list positive dimensions")
     k, dmax = np.size(weights), max(d_probe)
-    offsets = mean_offsets if len(mean_offsets) else np.zeros(k)
-    try:
-        target = build_truncated_mixture(
-            weights, offsets, PowerLaw(1.0, sigma_exponent), dmax, var_scales=sigma_scales
-        )
-        pert = MixturePerturbation(dmean=dmean, dvar=dsigma)
-        full = BoundInputs(
-            weights=target.weights,
-            weights_tilde=target.weights if weights_tilde is None else weights_tilde,
-            sigma=target.variances,
-            dsigma=pert.var_shifts(k, dmax),
-            dmeans=pert.mean_shifts(k, dmax),
-            lambdas=smooth.eigenvalues(dmax),
-            gammas=gamma.eigenvalues(dmax),
-            means=target.means,
-        )
-    except (MixtureError, BoundsError) as err:
-        raise ConditionError(str(err)) from err
+    full = family_inputs(
+        weights, dmax, sigma_exponent=sigma_exponent, sigma_scales=sigma_scales, smooth=smooth, gamma=gamma,
+        dmean=dmean, dsigma=dsigma, weights_tilde=weights_tilde, mean_offsets=mean_offsets,
+    )
 
     # running sums (sups for the bands) of every term, read at the probe dimensions
     carry, partials = {}, {}
     step = max(1, _GRID_ELEMS // (2 * k * k))  # caps the weight term's (2, K, K, n) block
     for lo in range(0, dmax, step):
-        cols = slice(lo, lo + step)
-        rows = {name: getattr(full, name)[:, cols] for name in ("sigma", "dsigma", "dmeans", "means")}
-        slab = replace(full, lambdas=full.lambdas[cols], gammas=full.gammas[cols], **rows)
-        for name, terms in _slab_terms(slab).items():
+        for name, terms in _slab_terms(full.columns(slice(lo, lo + step))).items():
             op = np.maximum if name.startswith("band_") else np.add
             running = op.accumulate(np.concatenate(([carry.get(name, 0.0)], terms)))
             carry[name] = running[-1]

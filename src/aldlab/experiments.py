@@ -14,7 +14,9 @@ record and a rerun with an unchanged config reproduces its output byte for
 byte. The robustness study is the sweep at every configured k that never
 simulates: it re-estimates cached samples only. The target sample a search
 compares the chains with is redrawn from the cell seed when a search needs
-it, never stored.
+it, never stored. The bounds report reads each variant's laws once
+(``_variant_laws``), and one ``conditions.family_inputs`` build per variant
+serves its budgets and its condition records.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ import os
 import time
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import engine
-from .bounds import BoundInputs, error_budget, horizon
-from .conditions import condition_report
+from .bounds import error_budget, horizon
+from .conditions import condition_report, family_inputs
 from .config import ExperimentConfig, VariantBlock
 from .engine import ALDConfig, ChainDivergenceError, make_schedule, run_chains
 # knn_kl stays importable from here: perfbench/tracing.py wraps it by this name
@@ -137,16 +139,6 @@ def build_target(cfg: ExperimentConfig, d: int) -> DiagGMM:
     )
 
 
-def variant_perturbation(variant: VariantBlock) -> MixturePerturbation | None:
-    if variant.drift != "misspecified":
-        return None
-    return MixturePerturbation(
-        variant.dweights,
-        PowerLaw(variant.dmean_scale, variant.dmean_exponent),
-        PowerLaw(variant.dsigma_scale, variant.dsigma_exponent),
-    )
-
-
 def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_steps=None) -> ALDConfig:
     """The numerics of one variant at dimension ``d``.
 
@@ -161,7 +153,13 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
     )
     gamma = PowerLaw(variant.gamma_scale, variant.gamma_exponent)
     c_base = PowerLaw(variant.cbase_scale, variant.cbase_exponent)
-    init_mixture = None
+    perturbation = init_mixture = None
+    if variant.drift == "misspecified":
+        perturbation = MixturePerturbation(
+            variant.dweights,
+            PowerLaw(variant.dmean_scale, variant.dmean_exponent),
+            PowerLaw(variant.dsigma_scale, variant.dsigma_exponent),
+        )
     if variant.init_weights:
         target = build_target(cfg, d)
         base = DiagGMM(weights=variant.init_weights, means=target.means, variances=target.variances)
@@ -172,7 +170,7 @@ def build_ald_config(cfg: ExperimentConfig, variant: VariantBlock, d: int, n_ste
         gamma=gamma,
         c_base=c_base,
         drift_mode=variant.drift,
-        perturbation=variant_perturbation(variant),
+        perturbation=perturbation,
         init_mixture=init_mixture,
     )
 
@@ -482,48 +480,19 @@ def run_fig1_steps_to_accuracy(cfg: ExperimentConfig, workers=None, cache: bool 
 # -- bounds report -------------------------------------------------------------
 
 
-def _variant_bound_inputs(cfg: ExperimentConfig, variant: VariantBlock, d: int):
-    """Score-side and init-side bound inputs for one variant at one dimension.
+def _variant_laws(cfg: ExperimentConfig, variant: VariantBlock) -> tuple:
+    """One variant's laws for ``family_inputs`` and ``condition_report``, its schedule and its initial weights.
 
-    The schedule, spectra, score perturbation and initial law are those of
-    ``build_ald_config``, so the bounds describe the chains that run.
+    Every value is ``build_ald_config``'s, so the bounds and the condition
+    records describe the chains that run. An initial law other than the
+    smoothed target differs from it in its weights only, so the initial
+    weights are all that ``e_init`` needs of it.
     """
-    target = build_target(cfg, d)
-    ald = build_ald_config(cfg, variant, d)
-    k = target.n_components
-    w = target.weights
-    pert = ald.perturbation or MixturePerturbation()
-    common = dict(
-        weights=w,
-        sigma=target.variances,
-        lambdas=ald.schedule.theta0 * ald.c_base.eigenvalues(d),
-        gammas=ald.gamma.eigenvalues(d),
-        means=target.means,
-    )
-    score_inputs = BoundInputs(
-        weights_tilde=w + pert.weight_shifts(k),
-        dsigma=pert.var_shifts(k, d),
-        dmeans=pert.mean_shifts(k, d),
-        **common,
-    )
-    # an initial law other than the smoothed target differs from it in its weights only
-    zeros = np.zeros((k, d))
-    init_inputs = BoundInputs(
-        weights_tilde=w if ald.init_mixture is None else ald.init_mixture.weights,
-        dsigma=zeros,
-        dmeans=zeros,
-        **common,
-    )
-    return score_inputs, init_inputs, ald.schedule
-
-
-def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock):
     tgt = cfg.target
-    # the conditions are dimension-free; d = 1 only reads the variant's numerics
+    # the laws are dimension-free; d = 1 only reads the variant's numerics
     ald = build_ald_config(cfg, variant, 1)
     pert = ald.perturbation or MixturePerturbation()
-    return condition_report(
-        tgt.weights,
+    laws = dict(
         sigma_exponent=tgt.var_exponent,
         sigma_scales=tgt.var_scales,
         smooth=PowerLaw(ald.schedule.theta0 * ald.c_base.scale, ald.c_base.exponent),
@@ -533,13 +502,19 @@ def variant_condition_report(cfg: ExperimentConfig, variant: VariantBlock):
         weights_tilde=np.asarray(tgt.weights) + pert.weight_shifts(len(tgt.weights)),
         mean_offsets=tgt.mean_offsets,
     )
+    init_weights = tgt.weights if ald.init_mixture is None else ald.init_mixture.weights
+    return laws, ald.schedule, init_weights
 
 
 def run_bounds_report(cfg: ExperimentConfig) -> dict:
     """Tabulate the closed-form bounds and condition verdicts for every variant.
 
-    Each budget is integrated on ``error_budget``'s own kappa grid, and the
-    conditions are read at ``condition_report``'s own probe dimensions.
+    One ``family_inputs`` build per variant, at the largest swept d, holds
+    the arrays of every budget: the score side at d is its first d
+    coordinates, and the init side the same with the initial weights and no
+    mean or variance shift. The condition records take the same laws at
+    ``condition_report``'s own probe dimensions. Each budget is integrated
+    on ``error_budget``'s own kappa grid.
     Writes a CSV of per-(variant, d) numbers plus a text report with the
     condition verdicts, and returns everything as a dict.
     """
@@ -547,9 +522,13 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
     numeric = []
     conditions = {}
     for variant in cfg.variants:
+        laws, sched, init_weights = _variant_laws(cfg, variant)
+        score = family_inputs(cfg.target.weights, max(cfg.sweep.d_values), **laws)
+        zeros = np.zeros_like(score.sigma)
+        init = replace(score, weights_tilde=init_weights, dsigma=zeros, dmeans=zeros)
         for d in cfg.sweep.d_values:
-            score_in, init_in, sched = _variant_bound_inputs(cfg, variant, d)
-            budget = error_budget(score_in, sched.t_horizon, init_inputs=init_in)
+            first_d = slice(0, d)
+            budget = error_budget(score.columns(first_d), sched.t_horizon, init_inputs=init.columns(first_d))
             kd = budget.kd
             numeric.append(
                 {
@@ -565,7 +544,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
                     "total_bound": budget.total(),
                 }
             )
-        conditions[variant.name] = variant_condition_report(cfg, variant)
+        conditions[variant.name] = condition_report(cfg.target.weights, **laws)
 
     path = cfg.output.csv
     cols = (

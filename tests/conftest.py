@@ -51,6 +51,25 @@ def variant_named(cfg, name):
     return found
 
 
+# a bounds config whose one variant shifts the score's weights
+BOUNDS_DWEIGHTS = """
+[experiment]
+kind = bounds_report
+
+[sweep]
+d_values = 1
+
+[variant shifted]
+gamma_exponent = 1.5
+cbase_exponent = 2.7
+drift = misspecified
+dweights = -0.05, 0.05
+
+[output]
+csv = results/dw.csv
+"""
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250809)

@@ -136,6 +136,26 @@ def test_bounds_takes_no_seed(capsys, option):
     assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
 
 
+def test_lab_errors_are_one_line(tmp_path, capsys):
+    # a lab error is a message on stderr and status 1, not a traceback
+    assert main(["run", "configs/bounds.cfg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "aldlab: a bounds_report config is closed-form: run it with `aldlab bounds`\n"
+
+    with open("configs/bounds.cfg", encoding="utf-8") as fh:
+        text = fh.read().replace("gamma_scale = 1.0", "gamma_scale = 0")
+    path = tmp_path / "zero_gamma.cfg"
+    path.write_text(text.replace("csv = results/", f"csv = {tmp_path}/"), encoding="utf-8")
+    assert main(["bounds", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aldlab: ") and "gamma_scale" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "bounds.csv").exists()
+
+    assert main(["bounds", str(tmp_path / "missing.cfg")]) == 1
+    assert capsys.readouterr().err.startswith("aldlab: [Errno 2] No such file or directory")
+
+
 ODD_NAMES = ("a,b", 'say "hi"')
 
 

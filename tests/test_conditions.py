@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from aldlab import BoundInputs, PowerLaw, bounds, condition_report
-from aldlab.conditions import ConditionError
-from aldlab.config import load_config
-from aldlab.experiments import _variant_bound_inputs, variant_condition_report
+from aldlab.conditions import ConditionError, family_inputs
+from aldlab.config import load_config, parse_config_text
+from aldlab.experiments import _variant_laws
 from aldlab.bounds import error_budget
+from conftest import BOUNDS_DWEIGHTS
 
 
 def growth_verdict(sums_by_d):
@@ -273,7 +275,7 @@ class TestTiltedTerms:
 
 # -- the verdicts against the budget they guard --------------------------------------
 
-LINK_D = (100, 1000, 10000)  # the probe dimensions variant_condition_report reads
+LINK_D = (100, 1000, 10000)  # condition_report's default probe dimensions
 SCORE_RECORDS = ("m0_first", "m0_second", "s1_score_moment", "mpm_band_series", "band_m8")
 
 
@@ -293,7 +295,7 @@ def random_fig3_variants(n, seed=0):
         )
         margins = [
             rec.exponent_margin
-            for rec in variant_condition_report(cfg, variant).records
+            for rec in condition_report(cfg.target.weights, **_variant_laws(cfg, variant)[0]).records
             if not rec.name.startswith("band") and math.isfinite(rec.exponent_margin)
         ]
         if all(abs(m - 1.0) >= 0.3 for m in margins):
@@ -301,25 +303,48 @@ def random_fig3_variants(n, seed=0):
     return found
 
 
+def three_component(cfg):
+    """``cfg`` with a three-component target: every pair of components has its own mean gap."""
+    three = replace(
+        cfg.target, weights=(0.5, 0.25, 0.25), mean_offsets=(0.0, 10.0, 20.0), var_scales=(1.2, 2.0, 2.0)
+    )
+    return replace(cfg, name=f"{cfg.name}_k3", target=three)
+
+
 def link_cases():
     configs = [load_config(f"configs/{name}.cfg") for name in ("bounds", "fig1", "fig3")]
-    # a three-component bounds.cfg: every pair of components has its own mean gap
-    three = replace(
-        configs[0].target, weights=(0.5, 0.25, 0.25), mean_offsets=(0.0, 10.0, 20.0), var_scales=(1.2, 2.0, 2.0)
-    )
-    configs.append(replace(configs[0], name="bounds_k3", target=three))
+    configs.append(three_component(configs[0]))
     shipped = [(cfg, variant) for cfg in configs for variant in cfg.variants]
     return shipped + random_fig3_variants(3)
 
 
 class TestBudgetLink:
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_budget_inputs_are_a_prefix_of_one_build(self, d):
+        # the bounds report builds each variant once, at its largest d, and
+        # reads the budget at d from the first d coordinates
+        configs = [load_config(f"configs/{name}.cfg") for name in ("bounds", "fig2", "fig3")]
+        configs += [three_component(configs[0]), parse_config_text(BOUNDS_DWEIGHTS)]
+        for cfg in configs:
+            for variant in cfg.variants:
+                laws = _variant_laws(cfg, variant)[0]
+                got = family_inputs(cfg.target.weights, 65, **laws).columns(slice(0, d))
+                want = family_inputs(cfg.target.weights, d, **laws)
+                for field in dataclasses.fields(BoundInputs):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    label = f"{cfg.name}/{variant.name}: {field.name}"
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), label
+
     def test_verdicts_agree_with_the_budget(self):
         readings = []
         for cfg, variant in link_cases():
-            report = variant_condition_report(cfg, variant)
+            laws, sched, init_weights = _variant_laws(cfg, variant)
+            report = condition_report(cfg.target.weights, **laws)
             budgets, score_inputs = [], []
             for d in LINK_D:
-                score_in, init_in, sched = _variant_bound_inputs(cfg, variant, d)
+                score_in = family_inputs(cfg.target.weights, d, **laws)
+                zeros = np.zeros_like(score_in.sigma)
+                init_in = replace(score_in, weights_tilde=init_weights, dsigma=zeros, dmeans=zeros)
                 budgets.append(error_budget(score_in, sched.t_horizon, grid_size=64, init_inputs=init_in))
                 score_inputs.append(score_in)
             label = f"{cfg.name}/{variant.name}"

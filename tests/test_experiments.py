@@ -31,7 +31,7 @@ from aldlab.experiments import (
     run_kl_sweep,
     steps_to_accuracy,
 )
-from conftest import variant_named
+from conftest import BOUNDS_DWEIGHTS, variant_named
 
 knn_kl_module = importlib.import_module("aldlab.knn_kl")  # the package name knn_kl is the function
 
@@ -857,24 +857,6 @@ class TestBoundsReport:
         report = rep["conditions"]["shifted"]
         assert report["w1_weights"].partial_sum(100) > 0
         assert report["w2_weight_ratio"].partial_sum(100) > 1
-
-
-BOUNDS_DWEIGHTS = """
-[experiment]
-kind = bounds_report
-
-[sweep]
-d_values = 1
-
-[variant shifted]
-gamma_exponent = 1.5
-cbase_exponent = 2.7
-drift = misspecified
-dweights = -0.05, 0.05
-
-[output]
-csv = results/dw.csv
-"""
 
 
 def test_benchmark_hooks_exist():
