@@ -33,11 +33,14 @@ from .spectra import SpectrumError
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline()
-    delim = "," if "," in head else None
-    arr = np.loadtxt(path, delimiter=delim, ndmin=2)
-    return arr
+    """The sample matrix in ``path``, comma- or whitespace-delimited; a file that is not one is a KnnError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            head = fh.readline()
+        delim = "," if "," in head else None
+        return np.loadtxt(path, delimiter=delim, ndmin=2)
+    except ValueError as err:
+        raise KnnError(f"{path} is not a numeric sample matrix: {err}") from None
 
 
 def _apply_overrides(cfg, args):

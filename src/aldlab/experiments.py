@@ -224,7 +224,7 @@ def _load_record(path: str):
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             ks, kl, wall = data["ks"], data["kl"], data["wall_time_s"]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
         return None
@@ -257,7 +257,7 @@ def _load_samples(cfg: ExperimentConfig, path: str, d: int):
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             samples = data["samples"]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
         return None
@@ -552,7 +552,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
         "int_bcomp", "int_bresp", "int_bresp_envelope", "bias_bound", "total_bound",
     )
     _write_csv(path, cols, ([rec[c] for c in cols] for rec in numeric))
-    txt_path = path.rsplit(".", 1)[0] + ".txt"
+    txt_path = os.path.splitext(path)[0] + ".txt"
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(f"bounds report: {cfg.name} (epsilon = {eps})\n")
         for vname, report in conditions.items():

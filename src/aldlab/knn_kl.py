@@ -13,40 +13,36 @@ raised to 1e-12 and counted, so duplicate samples are visible, not fatal.
 The neighbor search is brute-force and exact. It walks the queries in tiles
 small enough that a tile's screen stays in cache. One GEMM per tile gives
 the screen ``|q|^2 + |p|^2 - 2 q.p`` less the points' half of a per-pair
-rounding bound, and one partition picks each query's ``K + 16`` candidates,
-K the largest requested rank; the first screen value past them bounds every
-point left out from below. The bound then certifies each requested rank on
-the screen alone: when the points screened before it are provably nearer
-and every point after it provably farther, that rank's point is known, and
-only that (query, point) pair is differenced explicitly, in the same floats
-a quadratic scan computes. A query whose ranks cannot be certified (ties
-near a requested rank) but whose candidate set is provably complete is
-re-ranked on its candidates' explicit differences; a query whose candidate
-set cannot be proved (ties at the cut, large offsets that cancel in the
-screen) is rescanned in full. Results therefore match a quadratic-scan
-oracle bit for bit, whatever the tile size.
+rounding bound, and one partition picks each query's ``K + 1`` smallest
+screen values, K the largest requested rank; the last of them bounds every
+point after the first K from below. The bound then certifies each
+requested rank on the screen alone: when the points screened before it are
+provably nearer and every point after it provably farther, that rank's
+point is known, and only that (query, point) pair is differenced
+explicitly, in the same floats a quadratic scan computes. A query with any
+rank the bound cannot certify (ties near a requested rank, large offsets
+that cancel in the screen) is rescanned in full. Results therefore match a
+quadratic-scan oracle bit for bit, whatever the tile size.
 :func:`knn_kl_multi` serves several k from one search per side at exactly
-those ranks, and runs the search against Q on one worker thread while the
-calling thread searches P; the thread is joined before the call returns.
+those ranks, both on the calling thread.
 """
 
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 DIST_CLAMP = 1e-12
-# Cap on the elements of one query tile's screen and of the candidates it
-# may gather for a re-rank: 2**16 doubles (512 KiB) keeps a tile's arrays in
+# Cap on the elements of one query tile's arrays: its (rows, n) screen, and
+# its gather of the certified pairs, at most K points of d coordinates per
+# row, K the largest requested rank. 2**16 doubles (512 KiB) keeps a tile in
 # a core's L2 cache. Measured at n = m = 1000 (d = 1 to 25) and at
 # n = m = 2500, d = 65, against 2**15, 2**17, 2**18 and 2**22; see
-# BENCH_15.json. A cap on the screen alone ran no faster (BENCH_20.json).
+# BENCH_15.json.
 _CHUNK_ELEMS = 2**16
-_SLACK = 16  # screened candidates kept beyond the largest requested rank
 
 
 class KnnError(ValueError):
@@ -87,32 +83,18 @@ def _sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.square(diff, out=diff).sum(axis=2)
 
 
-def _nearest(queries: np.ndarray, points: np.ndarray, cols: np.ndarray, self_cols=None) -> np.ndarray:
-    """Explicit-difference distances of each query row at the 0-based ranks ``cols``.
-
-    ``points`` is as for :func:`_sq_dists`; ``self_cols`` masks each row's
-    own column out of a shared set.
-    """
-    d2 = _sq_dists(queries, points)
-    if self_cols is not None:
-        d2[np.arange(len(self_cols)), self_cols] = np.inf
-    part = np.partition(d2, cols[-1], axis=1)[:, : cols[-1] + 1]
-    part.sort(axis=1)
-    return np.sqrt(part[:, cols])
-
-
 def _full_scan(pts: np.ndarray, qry: np.ndarray, rows: np.ndarray, cols, exclude_self: bool, out) -> None:
-    """Fill ``out[rows]`` by scanning every point for those query rows."""
+    """Fill ``out[rows]`` with explicit-difference distances to every point at the 0-based ranks ``cols``."""
     n, d = pts.shape
     step = max(1, _CHUNK_ELEMS // (n * d))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        out[block] = _nearest(qry[block], pts, cols, block if exclude_self else None)
-
-
-def _rerank(pts: np.ndarray, qry: np.ndarray, rows: np.ndarray, cand: np.ndarray, cols, out) -> None:
-    """Fill ``out[rows]`` by re-ranking each row's screened candidates ``cand``."""
-    out[rows] = _nearest(qry[rows], pts[cand], cols)
+        d2 = _sq_dists(qry[block], pts)
+        if exclude_self:
+            d2[np.arange(len(block)), block] = np.inf
+        part = np.partition(d2, cols[-1], axis=1)[:, : cols[-1] + 1]
+        part.sort(axis=1)
+        out[block] = np.sqrt(part[:, cols])
 
 
 def _ranks(k) -> np.ndarray:
@@ -147,7 +129,6 @@ def knn_distances(points, queries, k, exclude_self: bool = False) -> np.ndarray:
     q = qry.shape[0]
     cols = ranks - 1
     top_k = int(ranks[-1])
-    width = top_k + _SLACK
     out = np.empty((q, len(ranks)))
 
     # Rounding bound, per pair. Let A = |q_i|^2 and B = |p_j|^2 exactly, S the
@@ -174,7 +155,7 @@ def knn_distances(points, queries, k, exclude_self: bool = False) -> np.ndarray:
     # terms could overflow the bound means nothing, and every row is scanned.
     qn = np.einsum("ij,ij->i", qry, qry)
     pn = np.einsum("ij,ij->i", pts, pts)
-    if width >= usable or not np.isfinite(4.0 * (qn.max() + pn.max())):
+    if top_k >= usable or not np.isfinite(4.0 * (qn.max() + pn.max())):
         # nothing to screen away, or a screen that could overflow
         _full_scan(pts, qry, np.arange(q), cols, exclude_self, out)
         return out
@@ -191,7 +172,7 @@ def knn_distances(points, queries, k, exclude_self: bool = False) -> np.ndarray:
     np.subtract(pn, ep, out=pa[d])
     pa[d + 1] = 1.0
 
-    step = max(1, _CHUNK_ELEMS // max(n, width * d))
+    step = max(1, _CHUNK_ELEMS // max(n, (top_k + 1) * d))
     tile_rows = np.arange(min(q, step))
     tile_base = n * tile_rows[:, None]
     rescan = []
@@ -202,19 +183,16 @@ def knn_distances(points, queries, k, exclude_self: bool = False) -> np.ndarray:
         s = qa[start:stop] @ pa
         if exclude_self:
             s[r, start + r] = np.inf
-        # the candidates first, then at position width the smallest value of
-        # any point left out
-        part = np.argpartition(s, width, axis=1)
+        # the points of the top_k + 1 smallest screen values, the last of them
+        # the smallest value of any point after the first top_k
+        cand = np.argpartition(s, top_k, axis=1)[:, : top_k + 1]
         s_flat = s.reshape(-1)
-        part_flat = part.reshape(-1)
-        cand = part[:, :width]
-        # the first top_k + 1 candidates in screen order
-        order = np.argsort(s_flat[cand + base], axis=1)[:, : top_k + 1]
-        top = part_flat[order + base]
+        # those points in screen order
+        top = np.take_along_axis(cand, np.argsort(s_flat[cand + base], axis=1), axis=1)
         st = s_flat[top + base]
         # along the screen order: lo rises, and lo[:, top_k] bounds every
-        # point after the first top_k, those left out included;
-        # before[:, c] is the largest upper bound of the first c points
+        # point after the first top_k; before[:, c] is the largest upper
+        # bound of the first c points
         e = eq[start:stop, None]
         lo = st - e
         hi = st[:, :top_k] + e
@@ -225,15 +203,9 @@ def knn_distances(points, queries, k, exclude_self: bool = False) -> np.ndarray:
         # Rank c (0-based) is certain when every point before it is nearer
         # and every point after it farther: it is then the point top[:, c].
         certain = ((before[:, cols] < lo[:, cols]) & (hi[:, cols] < lo[:, cols + 1])).all(axis=1)
-        # The cut is proved when the first top_k points are all nearer than
-        # every point left out; a certain row has a proved cut.
-        cut = before[:, top_k] < s[r, part[:, width]] - eq[start:stop]
         done = np.flatnonzero(certain)
         out[start + done] = np.sqrt(_sq_dists(qry[start + done], pts[top[done[:, None], cols]]))
-        ranked = np.flatnonzero(cut & ~certain)
-        if ranked.size:
-            _rerank(pts, qry, start + ranked, cand[ranked], cols, out)
-        rescan.append(start + np.flatnonzero(~cut))
+        rescan.append(start + np.flatnonzero(~certain))
     _full_scan(pts, qry, np.concatenate(rescan), cols, exclude_self, out)
     return out
 
@@ -242,9 +214,7 @@ def knn_kl_multi(p_samples, q_samples, ks: Sequence[int]) -> list:
     """Estimate KL(P || Q) at every k in ``ks`` from one search per side.
 
     Each estimate equals ``knn_kl(p_samples, q_samples, k)``: both searches ask
-    for the distinct ks as ranks, and each k reads its own column. The two
-    searches run at once, the one against Q on a worker thread that is joined
-    before this returns or raises.
+    for the distinct ks as ranks, and each k reads its own column.
     """
     P = _check_matrix(p_samples, "P")
     Q = _check_matrix(q_samples, "Q")
@@ -262,13 +232,8 @@ def knn_kl_multi(p_samples, q_samples, ks: Sequence[int]) -> list:
             raise KnnError(f"k={k} exceeds the Q sample count m={m}")
 
     ranks = tuple(sorted(set(ks)))
-    # numpy releases the interpreter lock in the GEMM, partitions and gathers,
-    # so on two free cores the searches overlap; leaving the block joins the
-    # worker, so no thread outlives the call (experiments forks workers).
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        nu_search = pool.submit(knn_distances, Q, P, ranks)
-        rho_all = knn_distances(P, P, ranks, exclude_self=True)
-        nu_all = nu_search.result()
+    rho_all = knn_distances(P, P, ranks, exclude_self=True)
+    nu_all = knn_distances(Q, P, ranks)
     out = []
     for k in ks:
         rho = rho_all[:, ranks.index(k)]

@@ -57,6 +57,21 @@ def test_kl_verb(tmp_path, capsys):
     assert got == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "text", ["a,b\n1,2\n3,4\n", "1 2\n3 4 5\n", "\xff\xfe\n"], ids=["header", "ragged", "not_utf8"]
+)
+def test_kl_verb_names_a_file_that_is_no_matrix(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text.encode("latin-1"))
+    good = tmp_path / "good.txt"
+    np.savetxt(good, np.random.default_rng(4).normal(size=(20, 2)))
+    assert main(["kl", "--p", str(bad), "--q", str(good), "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"aldlab: {bad} is not a numeric sample matrix: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_run_verb_tiny(tmp_path, capsys):
     cfg_text = """
 [experiment]

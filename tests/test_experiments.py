@@ -338,7 +338,8 @@ class TestSweepExperiment:
     def test_plot_script_lists_variants_and_runs(self, tmp_path):
         cfg = tiny_cfg(tmp_path, name="plot")
         run_experiment(cfg)
-        assert "LOG_FLOOR" in open(cfg.output.plot_script).read()
+        with open(cfg.output.plot_script, encoding="utf-8") as fh:
+            assert "LOG_FLOOR" in fh.read()
         by_cell = {}
         for r in read_csv_rows(cfg.output.csv):
             by_cell.setdefault(r.variant, {}).setdefault(r.d, []).append(r.kl)
@@ -790,8 +791,22 @@ class TestBoundsReport:
         assert by_key[("green", 65)]["kd"] <= 1.05 * by_key[("green", 20)]["kd"]
         # red kd keeps growing
         assert by_key[("red", 65)]["kd"] > 2.0 * by_key[("red", 20)]["kd"]
-        text = open(rep["txt"]).read()
+        with open(rep["txt"], encoding="utf-8") as fh:
+            text = fh.read()
         assert "variant green" in text and "suff_kd" in text
+
+    def test_text_report_sits_beside_a_csv_without_extension(self, tmp_path):
+        # a dot in a directory name is no extension: the report lands in the
+        # CSV's own directory, named after it
+        csv_path = tmp_path / "bt" / "out.v2" / "bounds"
+        cfg = load_config("configs/bounds.cfg")
+        cfg = replace(
+            cfg, sweep=replace(cfg.sweep, d_values=(1, 5)), output=replace(cfg.output, csv=str(csv_path))
+        )
+        rep = run_bounds_report(cfg)
+        assert rep["txt"] == str(csv_path) + ".txt"
+        assert sorted(os.listdir(csv_path.parent)) == ["bounds", "bounds.txt"]
+        assert os.listdir(tmp_path / "bt") == ["out.v2"]
 
     @pytest.mark.parametrize("name", ["bounds", "fig3"])
     def test_report_bytes_match_golden(self, tmp_path, name):

@@ -1,5 +1,8 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -78,7 +81,7 @@ def ci_samples():
 
 @pytest.fixture
 def rescanned(monkeypatch):
-    """Query rows that the search rescans in full because the screen could not prove them."""
+    """Query rows that the search rescans in full because the screen could not certify their ranks."""
     rows = []
     full_scan = knn_module._full_scan
 
@@ -90,22 +93,8 @@ def rescanned(monkeypatch):
     return rows
 
 
-@pytest.fixture
-def reranked(monkeypatch):
-    """Query rows that the search re-ranks on their candidates because it could not certify their ranks."""
-    rows = []
-    rerank = knn_module._rerank
-
-    def spy(pts, qry, rank_rows, *args):
-        rows.extend(int(r) for r in rank_rows)
-        return rerank(pts, qry, rank_rows, *args)
-
-    monkeypatch.setattr(knn_module, "_rerank", spy)
-    return rows
-
-
 class TestScreenedSearchExact:
-    """The GEMM screen and its explicit re-rank give the oracle's floats bit for bit."""
+    """The GEMM screen and its full-scan fallback give the oracle's floats bit for bit."""
 
     @pytest.mark.parametrize("d", [1, 8, 65])
     @pytest.mark.parametrize("exclude_self", [False, True])
@@ -124,37 +113,38 @@ class TestScreenedSearchExact:
         )
         assert rescanned == list(range(len(qry)))
 
-    def test_ties_at_the_cut_fall_back(self, rescanned, reranked):
+    def test_ties_at_the_cut_fall_back(self, rescanned):
         pts = np.array([[1.0]] * 40 + [[-1.0]] * 40 + [[3.0]] * 20)
         qry = np.array([[0.0], [2.9]])
         out = knn_distances(pts, qry, 5)
         np.testing.assert_array_equal(out, quadratic_scan_knn(pts, qry, 5))
-        assert rescanned == [0]  # 80 points tie at distance 1 across the candidate cut
-        assert reranked == [1]  # 20 points tie at distance 0.1 over ranks 1..5, inside the cut
+        # row 0: 80 points tie at distance 1 across rank 5; row 1: 20 points
+        # tie at distance 0.1 over ranks 1..5 and past them
+        assert rescanned == [0, 1]
 
-    def test_ci_ranks_are_certified_on_the_screen(self, rescanned, reranked):
+    def test_ci_ranks_are_certified_on_the_screen(self, rescanned):
         # the robustness study's ranks on CI-sized samples: every row of both
         # searches is certified, and only its requested pairs are differenced
         P, Q = ci_samples()
         ranks = (20, 50, 80)
         rho = knn_distances(P, P, ranks, exclude_self=True)
         nu = knn_distances(Q, P, ranks)
-        assert rescanned == [] and reranked == []
+        assert rescanned == []
         full_rho = knn_distances(P, P, 80, exclude_self=True)
         full_nu = knn_distances(Q, P, 80)
         np.testing.assert_array_equal(rho, full_rho[:, [19, 49, 79]])
         np.testing.assert_array_equal(nu, full_nu[:, [19, 49, 79]])
         np.testing.assert_array_equal(nu[:5], quadratic_scan_knn(Q, P[:5], 80)[:, [19, 49, 79]])
 
-    def test_near_tie_at_a_requested_rank_is_reranked(self, rescanned, reranked):
+    def test_near_tie_at_a_requested_rank_is_rescanned(self, rescanned):
         # The query is (1, 0, ..., 0) at d = 65. On the screen `kept` (mass
         # 5.5e-16 on coordinate 2) comes before `lost` (1e-8 on each of
         # coordinates 9, 17, ..., 65, mass 8e-16), but the oracle's pairwise
         # sum loses each 1e-16 of `lost` against the leading 1: `lost` is
         # nearest at exactly 1.0 and `kept` second at 1 + 2 ulps. The 30 far
-        # points prove the cut, so only rank 1 against rank 2 can tell the
-        # order is unknown; a rank checked against the left-out bound alone
-        # would be "certified" as `kept`, 1.0000000000000002, and rank 2
+        # points are provably farther, so only rank 1 against rank 2 can tell
+        # the order is unknown; a rank checked against the points after it
+        # alone would be "certified" as `kept`, 1.0000000000000002, and rank 2
         # checked only against the ranks after it as `lost`, 1.0.
         d = 65
         kept = np.zeros(d)
@@ -172,7 +162,7 @@ class TestScreenedSearchExact:
         np.testing.assert_array_equal(knn_distances(pts, qry, (1, 2)), expected)
         # rank 2 alone is as unknown: the point before it may be nearer or not
         np.testing.assert_array_equal(knn_distances(pts, qry, (2,)), expected[:, 1:])
-        assert rescanned == [] and reranked == [0, 0, 0]
+        assert rescanned == [0, 0, 0]
 
     def test_requested_ranks_are_checked(self, rng):
         pts = rng.normal(size=(30, 2))
@@ -247,7 +237,7 @@ class TestScreenedSearchExact:
         # the leading 1 one at a time, and each term below half an ulp is
         # lost: the point holding its mass there is nearest in the oracle's
         # floats (distance exactly 1) yet last on the screen, behind 17 points
-        # whose mass the sum keeps. 17 is the candidate width at k = 1.
+        # whose mass the sum keeps, far past the 2 screen values read at k = 1.
         d = 65
         lost = np.zeros(d)
         lost[8::8] = 1e-8
@@ -291,8 +281,9 @@ def test_requested_ranks_match_the_quadratic_scan(seed, n, d, decimals, offset, 
     pts = offset + np.round(r.normal(size=(n, d)), decimals)
     qry = pts if exclude_self else offset + np.round(r.normal(size=(int(r.integers(1, 20)), d)), decimals)
     usable = n - 1 if exclude_self else n
-    # half the draws leave the largest rank room for a screen (width k + 16)
-    top = data.draw(st.sampled_from([usable, max(1, usable - 17)]))
+    # a largest rank of usable leaves nothing to screen away; usable - 1 is
+    # the last rank the screen serves
+    top = data.draw(st.sampled_from([usable, max(1, usable - 1), max(1, usable - 17)]))
     ranks = sorted(data.draw(st.sets(st.integers(1, top), min_size=1, max_size=4)))
     expected = quadratic_scan_knn(pts, qry, ranks[-1], exclude_self)
     np.testing.assert_array_equal(
@@ -316,27 +307,41 @@ class TestKnnKlMulti:
     @pytest.mark.parametrize("side", ["rho", "nu"])
     def test_search_error_reraised_and_thread_joined(self, rng, monkeypatch, side):
         # experiments._fan_out forks worker processes, which must never
-        # happen while a search thread is alive: the call joins it on return
-        # and on an error from either search, the worker's (nu) included
+        # happen while a thread is alive: both searches run on the calling
+        # thread and start none, and an error from either is re-raised
         P = rng.normal(size=(200, 3))
         Q = rng.normal(size=(150, 3))
         search = knn_module.knn_distances
+        before = threading.active_count()
         failed_on = []
+        counts = []
 
         def failing(points, queries, k, exclude_self=False):
+            counts.append(threading.active_count())
             if exclude_self == (side == "rho"):
                 failed_on.append(threading.current_thread())
                 raise RuntimeError(f"{side} search failed")
             return search(points, queries, k, exclude_self)
 
-        before = threading.active_count()
         knn_kl_multi(P, Q, (5, 10))
         assert threading.active_count() == before
         monkeypatch.setattr(knn_module, "knn_distances", failing)
         with pytest.raises(RuntimeError, match=f"{side} search failed"):
             knn_kl_multi(P, Q, (5, 10))
+        assert failed_on == [threading.current_thread()]
+        assert counts and set(counts) == {before}
         assert threading.active_count() == before
-        assert (failed_on[0] is threading.current_thread()) == (side == "rho")
+
+    def test_the_lab_imports_no_thread_pool(self):
+        # the searches start no thread, and experiments imports its process
+        # pool only when it fans out, so importing the lab loads no pool
+        code = "import sys, aldlab.experiments, aldlab.cli; print('concurrent.futures' in sys.modules)"
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=300
+        )
+        assert out.stdout == "False\n"
 
     def test_peak_memory_of_a_ci_call(self):
         # every query tile's arrays stay small: one whole-matrix block traced 73 MB
