@@ -2,7 +2,8 @@
 
 Four layers: mixtures (exact densities, scores, sampling), the
 time-inhomogeneous preconditioned Langevin engine, closed-form error bounds
-with summability diagnostics, and a kNN divergence estimator. The experiment
+with the summability conditions on their terms (one module,
+:mod:`aldlab.bounds`), and a kNN divergence estimator. The experiment
 harness and CLI live in :mod:`aldlab.experiments` and :mod:`aldlab.cli`.
 """
 
@@ -28,9 +29,12 @@ from .bounds import (
     BoundInputs,
     BoundsError,
     BrespBound,
+    ConditionRecord,
+    ConditionReport,
     ErrorBudget,
     bcomp_bound,
     bresp_upper,
+    condition_report,
     error_budget,
     horizon,
     init_kl_bound,
@@ -40,7 +44,6 @@ from .bounds import (
     tilted_params,
     weight_kl,
 )
-from .conditions import ConditionRecord, ConditionReport, condition_report
 from .knn_kl import KLEstimate, KnnError, knn_distances, knn_kl, knn_kl_multi
 
 __version__ = "0.1.0"

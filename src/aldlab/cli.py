@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import BoundsError
-from .conditions import ConditionError
 from .config import ConfigError, apply_ci_profile, load_config
 from .engine import EngineError, make_schedule
 from .experiments import ExperimentError, run_bounds_report, run_experiment
@@ -33,14 +32,18 @@ from .spectra import SpectrumError
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    """The sample matrix in ``path``, comma- or whitespace-delimited; a file that is not one is a KnnError."""
+    """The sample matrix in ``path``, comma- or whitespace-delimited; a file that is not one is a KnnError.
+
+    The delimiter is read from the first data row, the first line that holds more than blanks and a ``#`` comment.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            head = fh.readline()
-        delim = "," if "," in head else None
-        return np.loadtxt(path, delimiter=delim, ndmin=2)
+            head = next((data for data in (line.split("#", 1)[0] for line in fh) if data.strip()), None)
+        if head is not None:
+            return np.loadtxt(path, delimiter="," if "," in head else None, ndmin=2)
     except ValueError as err:
         raise KnnError(f"{path} is not a numeric sample matrix: {err}") from None
+    raise KnnError(f"{path} holds no data rows")
 
 
 def _apply_overrides(cfg, args):
@@ -136,8 +139,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError, ExperimentError, EngineError, KnnError, MixtureError, BoundsError, ConditionError,
-        SpectrumError, OSError,
+        ConfigError, ExperimentError, EngineError, KnnError, MixtureError, BoundsError, SpectrumError,
+        OSError,
     ) as err:
         print(f"aldlab: {err}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ byte. The robustness study is the sweep at every configured k that never
 simulates: it re-estimates cached samples only. The target sample a search
 compares the chains with is redrawn from the cell seed when a search needs
 it, never stored. The bounds report reads each variant's laws once
-(``_variant_laws``), and one ``conditions.family_inputs`` build per variant
+(``_variant_laws``), and one ``bounds.family_inputs`` build per variant
 serves its budgets and its condition records.
 """
 
@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .bounds import error_budget, horizon
-from .conditions import condition_report, family_inputs
+from .bounds import condition_report, error_budget, family_inputs, horizon
 from .config import ExperimentConfig, VariantBlock
 from .engine import ALDConfig, ChainDivergenceError, make_schedule, run_chains
 # knn_kl stays importable from here: perfbench/tracing.py wraps it by this name

@@ -304,8 +304,8 @@ def test_c07_fig3_admissible_flatness(fig3_ci):
     # Stated margin: KL(top) <= 3 max(KL(5), 0.1). Thin margin by nature: the
     # admissible estimate carries a dimension-growing kNN-estimator bias on
     # small per-coordinate annealing lags that sits right at this bar
-    # (~0.26-0.40 across seed choices at desk scale, 0.31-0.32 at full-scale
-    # constants). Kept at the stated margin rather than loosened; see README.
+    # (~0.26-0.40 across seed choices at desk scale; no full-scale run is
+    # committed). Kept at the stated margin rather than loosened; see README.
     rows = fig3_ci["rows"]
     top = max(fig3_ci["cfg"].sweep.d_values)
     a5, at = mean_kl(rows, "admissible", 5), mean_kl(rows, "admissible", top)

@@ -1,9 +1,11 @@
 import csv
 import runpy
+import warnings
 
 import numpy as np
 import pytest
 
+from aldlab import knn_kl
 from aldlab.cli import main
 from aldlab.experiments import read_csv_rows
 
@@ -50,8 +52,6 @@ def test_kl_verb(tmp_path, capsys):
     assert out.startswith("kl=")
     assert "n=400 m=400 dim=2" in out
 
-    from aldlab import knn_kl
-
     expected = knn_kl(p, np.loadtxt(qfile, delimiter=","), 5).value
     got = float(out.split()[0].split("=")[1])
     assert got == pytest.approx(expected, rel=1e-8)
@@ -70,6 +70,38 @@ def test_kl_verb_names_a_file_that_is_no_matrix(tmp_path, capsys, text):
     assert captured.out == ""
     assert captured.err.startswith(f"aldlab: {bad} is not a numeric sample matrix: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("comma", [False, True], ids=["comment_with_comma", "leading_blank_line"])
+def test_kl_verb_reads_the_delimiter_from_the_first_data_row(tmp_path, capsys, comma):
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=(40, 2))
+    q = rng.normal(size=(40, 2))
+    pfile = tmp_path / "p.txt"
+    qfile = tmp_path / "q.txt"
+    if comma:
+        np.savetxt(pfile, p, delimiter=",")
+        pfile.write_text("\n" + pfile.read_text())
+    else:
+        np.savetxt(pfile, p, header="x, y")  # first line "# x, y", rows whitespace-delimited
+    np.savetxt(qfile, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kl", "--p", str(pfile), "--q", str(qfile), "--k", "3"]) == 0
+    assert capsys.readouterr().out.split()[0] == f"kl={knn_kl(p, q, 3).value:.9g}"
+
+
+def test_kl_verb_names_a_file_with_no_data_rows(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    good = tmp_path / "good.txt"
+    np.savetxt(good, np.random.default_rng(4).normal(size=(20, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kl", "--p", str(empty), "--q", str(good), "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"aldlab: {empty} holds no data rows\n"
 
 
 def test_run_verb_tiny(tmp_path, capsys):

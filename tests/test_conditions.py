@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aldlab import BoundInputs, PowerLaw, bounds, condition_report
-from aldlab.conditions import ConditionError, family_inputs
+from aldlab import BoundInputs, BoundsError, MixtureError, PowerLaw, bounds, condition_report
+from aldlab.bounds import error_budget, family_inputs
 from aldlab.config import load_config, parse_config_text
 from aldlab.experiments import _variant_laws
-from aldlab.bounds import error_budget
 from conftest import BOUNDS_DWEIGHTS
 
 
@@ -170,7 +169,7 @@ class TestSignedPerturbation:
         kw = fig3_kwargs(3.5)
         kw["dsigma"] = PowerLaw(-1.0, 3.5)  # sigma_1 + dsigma_1 = 0
         message = "perturbed variance of component 1, coordinate 1 is not positive"
-        with pytest.raises(ConditionError, match=message):
+        with pytest.raises(BoundsError, match=message):
             condition_report((0.75, 0.25), **kw)
 
     def test_sigma_scales_default_to_one_per_weight(self):
@@ -184,8 +183,13 @@ class TestSignedPerturbation:
     @pytest.mark.parametrize("offsets", [(10.0,), (0.0, 10.0, 20.0)])
     def test_mean_offsets_need_one_per_weight(self, offsets):
         kw = dict(FIG2_GREEN, mean_offsets=offsets)
-        with pytest.raises(ConditionError, match="one mean offset per weight"):
+        with pytest.raises(MixtureError, match="one mean offset per weight"):
             condition_report((0.75, 0.25), **kw)
+
+    @pytest.mark.parametrize("d_probe", [(), (0, 100)])
+    def test_d_probe_must_list_positive_dimensions(self, d_probe):
+        with pytest.raises(BoundsError, match="d_probe must list positive dimensions"):
+            condition_report((0.75, 0.25), **FIG2_GREEN, d_probe=d_probe)
 
 
 class TestGrowthAgreement:

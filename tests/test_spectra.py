@@ -5,6 +5,7 @@ import pytest
 
 from aldlab import (
     ALDConfig,
+    BoundsError,
     EngineError,
     MixtureError,
     PowerLaw,
@@ -13,7 +14,6 @@ from aldlab import (
     condition_report,
     make_schedule,
 )
-from aldlab.conditions import ConditionError
 
 
 def test_power_law_values():
@@ -54,9 +54,9 @@ def test_positivity_enforced():
             ALDConfig(dim=2, schedule=sched, gamma=PowerLaw(1.0), c_base=bad)
         with pytest.raises(MixtureError, match="component 1 at coordinate 1"):
             build_truncated_mixture((1.0,), (0.0,), bad, 2)
-        with pytest.raises(ConditionError, match="must be positive"):
+        with pytest.raises(BoundsError, match="must be positive"):
             condition_report((1.0,), sigma_exponent=1.0, smooth=PowerLaw(1.0), gamma=bad)
-        with pytest.raises(ConditionError, match="must be positive"):
+        with pytest.raises(BoundsError, match="must be positive"):
             condition_report((1.0,), sigma_exponent=1.0, smooth=bad, gamma=PowerLaw(1.0))
 
 
